@@ -12,17 +12,20 @@
 //     alike since exclusion is handled dynamically, paper fn. 20).
 //
 // The sedov rows pin hc.batch = false so they keep measuring the paper's
-// per-op scalar dispatch. The batched op-mode dispatch (DESIGN.md §8) is
-// measured separately on the two wired inner loops — the WENO5 row kernel
-// and the PLM reconstruction pencil — as
+// per-op scalar dispatch, at e11m12: outside the fast_* envelope, so every
+// truncated op is BigFloat emulation and the allocation ablation bites.
+// The batched op-mode dispatch (DESIGN.md §8) is measured at e8m12, inside
+// the envelope, where scalar ops run the per-op fast_* kernels and batches
+// the SIMD span kernels: on the two wired inner loops — the WENO5 row
+// kernel and the PLM reconstruction pencil — as
 //     overhead_ratio = (t_scalar - t_native) / (t_batch - t_native)
-// for the non-hardware format e8m12, plus an end-to-end Sedov comparison
-// with hc.batch on/off. Everything is written to table3_overhead.csv and,
-// for the recorded perf trajectory, BENCH_table3.json.
+// plus an end-to-end Sedov comparison with hc.batch on/off. Everything is
+// written to table3_overhead.csv and, for the recorded perf trajectory,
+// BENCH_table3.json.
 //
 // Expected shape: overhead tracks the truncated-op share; scratch beats
-// naive by 2-3x; counting adds measurable cost; mem-mode is the most
-// expensive; the batched loops beat scalar dispatch by >= 3x overhead.
+// naive; counting adds measurable cost; mem-mode is the most expensive;
+// the batched loops beat scalar dispatch by >= 3x overhead.
 //
 // The two loop benches additionally re-measure the batched phase once per
 // supported SIMD dispatch path (DESIGN.md §13) — the forced-portable run is
@@ -327,7 +330,7 @@ int run(int argc, char** argv) {
   };
 
   const auto run_instrumented = [&](int cutoff, rt::Mode mode, rt::AllocStrategy alloc,
-                                    bool counting, bool hw, int man, bool batch) {
+                                    bool counting, bool hw, sf::Format fmt, bool batch) {
     R.reset_all();
     R.set_mode(mode);
     R.set_alloc_strategy(alloc);
@@ -337,7 +340,7 @@ int run(int argc, char** argv) {
     grid.build_with_ic(
         [&sp](double x, double y, std::span<Real> v) { hydro::sedov_init(sp, x, y, v); });
     hydro::HydroConfig hc;
-    hc.trunc = rt::TruncationSpec::trunc64(hw ? 8 : 11, hw ? 23 : man);
+    hc.trunc = rt::TruncationSpec::trunc64(fmt.exp_bits, fmt.man_bits);
     // The paper's Table 3 measures per-op scalar dispatch; batch is the §8
     // comparison knob.
     hc.batch = batch;
@@ -369,13 +372,14 @@ int run(int argc, char** argv) {
   io::CsvWriter csv(cli.get("csv", "table3_overhead.csv"),
                     {"mode", "cutoff_l", "naive_s", "opt_s", "naive_x", "opt_x", "trunc_frac"});
   std::vector<Row> rows;
+  const sf::Format emulated{11, mantissa};  // outside the fast_* envelope
 
   const auto block = [&](const char* name, bool counting) {
     for (const int cutoff : {0, 1, 2, 3}) {
       const auto naive = run_instrumented(cutoff, rt::Mode::Op, rt::AllocStrategy::Naive,
-                                          counting, false, mantissa, false);
+                                          counting, false, emulated, false);
       const auto opt = run_instrumented(cutoff, rt::Mode::Op, rt::AllocStrategy::Scratch,
-                                        counting, false, mantissa, false);
+                                        counting, false, emulated, false);
       std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n", name, cutoff, naive.seconds,
                   opt.seconds, naive.seconds / base, opt.seconds / base);
       csv.row_strings({name, std::to_string(cutoff), std::to_string(naive.seconds),
@@ -390,24 +394,24 @@ int run(int argc, char** argv) {
   block("op-mode with op counting", true);
 
   {
-    const auto hw =
-        run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, true, 23, false);
+    const auto hw = run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, true,
+                                     sf::Format::fp32(), false);
     std::printf("%-34s M-%-6d %-12s %-12.3f %-10s %-10.1f\n",
                 "op-mode hw fast path (fp32)", 0, "-", hw.seconds, "-", hw.seconds / base);
     rows.push_back({"op-mode hw fast path (fp32)", 0, 0.0, hw.seconds, 0.0, hw.seconds / base,
                     -1.0});
   }
 
-  // Batched vs scalar end-to-end (recon + update pencils batched; the
-  // Riemann stage stays scalar either way, so this understates the per-loop
-  // gain measured below).
+  // Batched vs scalar end-to-end at e8m12, inside the fast envelope (recon
+  // + update pencils batched; the Riemann stage stays scalar either way, so
+  // this understates the per-loop gain measured above).
   Measurement sedov_scalar, sedov_batch;
   {
+    const sf::Format fast{8, mantissa};
     sedov_scalar =
-        run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false, mantissa,
-                         false);
-    sedov_batch = run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false,
-                                   mantissa, true);
+        run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false, fast, false);
+    sedov_batch =
+        run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false, fast, true);
     std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n", "op-mode batched (recon+update)",
                 0, sedov_scalar.seconds, sedov_batch.seconds, sedov_scalar.seconds / base,
                 sedov_batch.seconds / base);

@@ -4,19 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "softfloat/fast_round.hpp"
 
 namespace raptor::rt {
 
 namespace {
-
-/// Emulation cell: stands in for an MPFR variable. Naive allocation strategy
-/// news/deletes these per operation (the cost profile of mpfr_init2 /
-/// mpfr_clear in Fig. 5a); scratch mode reuses a thread-local pad (Fig. 4b).
-struct EmuCell {
-  sf::BigFloat v;
-};
 
 double deviation_of(double t, double s) {
   const bool t_nan = std::isnan(t);
@@ -95,7 +89,8 @@ struct Runtime::ThreadState {
   u32 trace_slot = 0;
   trace::RegionHist* trace_hist = nullptr;
   bool trace_slot_cached = false;
-  EmuCell scratch[4];
+  /// Emulation cells of the scratch allocation strategy (Fig. 4b).
+  sf::BigFloat scratch[4];
   Runtime* owner;
 
   void invalidate_trunc_cache() {
@@ -407,194 +402,180 @@ std::optional<sf::Format> Runtime::active_format(int width) {
 }
 
 // ---------------------------------------------------------------------------
-// Native execution paths
-// ---------------------------------------------------------------------------
-
-double Runtime::native1(OpKind k, double a) const {
-  switch (k) {
-    case OpKind::Neg: return -a;
-    case OpKind::Sqrt: return std::sqrt(a);
-    case OpKind::Exp: return std::exp(a);
-    case OpKind::Log: return std::log(a);
-    case OpKind::Log2: return std::log2(a);
-    case OpKind::Log10: return std::log10(a);
-    case OpKind::Sin: return std::sin(a);
-    case OpKind::Cos: return std::cos(a);
-    case OpKind::Tan: return std::tan(a);
-    case OpKind::Atan: return std::atan(a);
-    case OpKind::Tanh: return std::tanh(a);
-    case OpKind::Cbrt: return std::cbrt(a);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return 0;
-  }
-}
-
-double Runtime::native2(OpKind k, double a, double b) const {
-  switch (k) {
-    case OpKind::Add: return a + b;
-    case OpKind::Sub: return a - b;
-    case OpKind::Mul: return a * b;
-    case OpKind::Div: return a / b;
-    case OpKind::Pow: return std::pow(a, b);
-    case OpKind::Atan2: return std::atan2(a, b);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return 0;
-  }
-}
-
-double Runtime::native1_f32(OpKind k, double a) const {
-  const float x = static_cast<float>(a);
-  switch (k) {
-    case OpKind::Neg: return -x;
-    case OpKind::Sqrt: return std::sqrt(x);
-    case OpKind::Exp: return std::exp(x);
-    case OpKind::Log: return std::log(x);
-    case OpKind::Log2: return std::log2(x);
-    case OpKind::Log10: return std::log10(x);
-    case OpKind::Sin: return std::sin(x);
-    case OpKind::Cos: return std::cos(x);
-    case OpKind::Tan: return std::tan(x);
-    case OpKind::Atan: return std::atan(x);
-    case OpKind::Tanh: return std::tanh(x);
-    case OpKind::Cbrt: return std::cbrt(x);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return 0;
-  }
-}
-
-double Runtime::native2_f32(OpKind k, double a, double b) const {
-  const float x = static_cast<float>(a);
-  const float y = static_cast<float>(b);
-  switch (k) {
-    case OpKind::Add: return x + y;
-    case OpKind::Sub: return x - y;
-    case OpKind::Mul: return x * y;
-    case OpKind::Div: return x / y;
-    case OpKind::Pow: return std::pow(x, y);
-    case OpKind::Atan2: return std::atan2(x, y);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return 0;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Emulated execution (op-mode, Fig. 5a semantics)
+// Executors (DESIGN.md §5), written once for every arity N (1, 2, 3 operands)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-sf::BigFloat bf_op1(OpKind k, const sf::BigFloat& a, const sf::Format& f) {
-  switch (k) {
-    case OpKind::Neg: return a.negated();
-    case OpKind::Sqrt: return sf::BigFloat::sqrt(a, f);
-    case OpKind::Exp: return sf::bf_exp(a, f);
-    case OpKind::Log: return sf::bf_log(a, f);
-    case OpKind::Log2: return sf::bf_log2(a, f);
-    case OpKind::Log10: return sf::bf_log10(a, f);
-    case OpKind::Sin: return sf::bf_sin(a, f);
-    case OpKind::Cos: return sf::bf_cos(a, f);
-    case OpKind::Tan: return sf::bf_tan(a, f);
-    case OpKind::Atan: return sf::bf_atan(a, f);
-    case OpKind::Tanh: return sf::bf_tanh(a, f);
-    case OpKind::Cbrt: return sf::bf_cbrt(a, f);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return {};
+/// Operand i of the spans x[0..N).
+template <std::size_t N>
+std::array<double, N> at(const std::array<const double*, N>& x, std::size_t i) {
+  std::array<double, N> v;
+  for (std::size_t j = 0; j < N; ++j) v[j] = x[j][i];
+  return v;
+}
+
+/// Calls `run(op)` with `op` the hardware operation `k` on N operands of
+/// type T: T = double is the untruncated (and fp64 fast-path) executor,
+/// T = float the fp32 one. The kind switch sits outside whatever loop `run`
+/// holds, so untruncated spans stay vectorizable.
+template <class T, std::size_t N, class Run>
+void with_native(OpKind k, const Run& run) {
+  if constexpr (N == 1) {
+    switch (k) {
+      case OpKind::Neg: return run([](T a) { return -a; });
+      case OpKind::Sqrt: return run([](T a) { return std::sqrt(a); });
+      case OpKind::Exp: return run([](T a) { return std::exp(a); });
+      case OpKind::Log: return run([](T a) { return std::log(a); });
+      case OpKind::Log2: return run([](T a) { return std::log2(a); });
+      case OpKind::Log10: return run([](T a) { return std::log10(a); });
+      case OpKind::Sin: return run([](T a) { return std::sin(a); });
+      case OpKind::Cos: return run([](T a) { return std::cos(a); });
+      case OpKind::Tan: return run([](T a) { return std::tan(a); });
+      case OpKind::Atan: return run([](T a) { return std::atan(a); });
+      case OpKind::Tanh: return run([](T a) { return std::tanh(a); });
+      case OpKind::Cbrt: return run([](T a) { return std::cbrt(a); });
+      default: RAPTOR_REQUIRE(false, "bad unary op");
+    }
+  } else if constexpr (N == 2) {
+    switch (k) {
+      case OpKind::Add: return run([](T a, T b) { return a + b; });
+      case OpKind::Sub: return run([](T a, T b) { return a - b; });
+      case OpKind::Mul: return run([](T a, T b) { return a * b; });
+      case OpKind::Div: return run([](T a, T b) { return a / b; });
+      case OpKind::Pow: return run([](T a, T b) { return std::pow(a, b); });
+      case OpKind::Atan2: return run([](T a, T b) { return std::atan2(a, b); });
+      default: RAPTOR_REQUIRE(false, "bad binary op");
+    }
+  } else {
+    RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
+    // Single-rounding FMA in T, matching the BigFloat fused semantics.
+    run([](T a, T b, T c) { return std::fma(a, b, c); });
   }
 }
 
-sf::BigFloat bf_op2(OpKind k, const sf::BigFloat& a, const sf::BigFloat& b, const sf::Format& f) {
-  switch (k) {
-    case OpKind::Add: return sf::BigFloat::add(a, b, f);
-    case OpKind::Sub: return sf::BigFloat::sub(a, b, f);
-    case OpKind::Mul: return sf::BigFloat::mul(a, b, f);
-    case OpKind::Div: return sf::BigFloat::div(a, b, f);
-    case OpKind::Pow: return sf::bf_pow(a, b, f);
-    case OpKind::Atan2: return sf::bf_atan2(a, b, f);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return {};
+/// The BigFloat operation `k` in format `f`: correctly rounded for the
+/// arithmetic kinds, faithful for the elementary functions (DESIGN.md §6).
+template <std::size_t N>
+sf::BigFloat bf_apply(OpKind k, const sf::BigFloat* const* x, const sf::Format& f) {
+  const sf::BigFloat& a = *x[0];
+  if constexpr (N == 1) {
+    switch (k) {
+      case OpKind::Neg: return a.negated();
+      case OpKind::Sqrt: return sf::BigFloat::sqrt(a, f);
+      case OpKind::Exp: return sf::bf_exp(a, f);
+      case OpKind::Log: return sf::bf_log(a, f);
+      case OpKind::Log2: return sf::bf_log2(a, f);
+      case OpKind::Log10: return sf::bf_log10(a, f);
+      case OpKind::Sin: return sf::bf_sin(a, f);
+      case OpKind::Cos: return sf::bf_cos(a, f);
+      case OpKind::Tan: return sf::bf_tan(a, f);
+      case OpKind::Atan: return sf::bf_atan(a, f);
+      case OpKind::Tanh: return sf::bf_tanh(a, f);
+      case OpKind::Cbrt: return sf::bf_cbrt(a, f);
+      default: RAPTOR_REQUIRE(false, "bad unary op"); return {};
+    }
+  } else if constexpr (N == 2) {
+    const sf::BigFloat& b = *x[1];
+    switch (k) {
+      case OpKind::Add: return sf::BigFloat::add(a, b, f);
+      case OpKind::Sub: return sf::BigFloat::sub(a, b, f);
+      case OpKind::Mul: return sf::BigFloat::mul(a, b, f);
+      case OpKind::Div: return sf::BigFloat::div(a, b, f);
+      case OpKind::Pow: return sf::bf_pow(a, b, f);
+      case OpKind::Atan2: return sf::bf_atan2(a, b, f);
+      default: RAPTOR_REQUIRE(false, "bad binary op"); return {};
+    }
+  } else {
+    RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
+    return sf::BigFloat::fma(a, *x[1], *x[2], f);
   }
 }
 
-double native3(OpKind k, double a, double b, double c) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  return std::fma(a, b, c);
+/// The fast_* kernel computing `k` at arity N, if it has one (bit-identical
+/// to BigFloat inside the envelope; fast_round.hpp).
+template <std::size_t N>
+std::optional<sf::simd::SpanOp> fast_kernel(OpKind k) {
+  using sf::simd::SpanOp;
+  if (N == 1 && k == OpKind::Neg) return SpanOp::Neg;
+  if (N == 1 && k == OpKind::Sqrt) return SpanOp::Sqrt;
+  if (N == 2 && k == OpKind::Add) return SpanOp::Add;
+  if (N == 2 && k == OpKind::Sub) return SpanOp::Sub;
+  if (N == 2 && k == OpKind::Mul) return SpanOp::Mul;
+  if (N == 2 && k == OpKind::Div) return SpanOp::Div;
+  if (N == 3 && k == OpKind::Fma) return SpanOp::Fma;
+  return std::nullopt;
 }
 
-double native3_f32(OpKind k, double a, double b, double c) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  // Single-rounding fp32 FMA, matching the BigFloat fused semantics.
-  return std::fmaf(static_cast<float>(a), static_cast<float>(b), static_cast<float>(c));
+/// One element of a fast_kernel() span operation. As for the span kernels,
+/// operand slots `op` does not read alias the last operand.
+template <std::size_t N>
+double fast_apply(sf::simd::SpanOp op, const std::array<double, N>& x, const sf::RoundSpec& s) {
+  const double a = x[0], b = x[N > 1 ? 1 : 0], c = x[N - 1];
+  switch (op) {
+    case sf::simd::SpanOp::Neg: return sf::fast_neg(a, s);
+    case sf::simd::SpanOp::Sqrt: return sf::fast_sqrt(a, s);
+    case sf::simd::SpanOp::Add: return sf::fast_add(a, b, s);
+    case sf::simd::SpanOp::Sub: return sf::fast_sub(a, b, s);
+    case sf::simd::SpanOp::Mul: return sf::fast_mul(a, b, s);
+    case sf::simd::SpanOp::Div: return sf::fast_div(a, b, s);
+    default: return sf::fast_fma(a, b, c, s);
+  }
+}
+
+enum class Exec : u8 {
+  F64,      ///< double hardware: untruncated, or an fp64 target under hw_fastpath
+  F32,      ///< float hardware: an fp32 target under hw_fastpath
+  Fast,     ///< fp64 hardware + fast_round, inside the bit-exact envelope
+  BigFloat  ///< per-op emulation (Fig. 5a); everything else
+};
+
+/// The one dispatch rule, shared by the scalar and span executors; `f` is
+/// the resolved target format (nullptr = untruncated). Narrower formats
+/// never widen through float hardware: that double-rounds for man_bits > 11
+/// (DESIGN.md §8; pinned by DoubleRoundingWitness in test_runtime).
+template <std::size_t N>
+Exec select_exec(OpKind k, const sf::Format* f, bool hw_fastpath) {
+  if (f == nullptr) return Exec::F64;
+  if (hw_fastpath && *f == sf::Format::fp64()) return Exec::F64;
+  if (hw_fastpath && *f == sf::Format::fp32()) return Exec::F32;
+  const bool envelope = N == 3 ? sf::fast_fma_supports(*f) : sf::fast_op_supports(*f);
+  return envelope && fast_kernel<N>(k) ? Exec::Fast : Exec::BigFloat;
 }
 
 }  // namespace
 
-double Runtime::emulate1(ThreadState& ts, OpKind k, double a, const sf::Format& f) {
-  const auto compute = [&](EmuCell& ma, EmuCell& mc) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);  // mpfr_set
-    mc.v = bf_op1(k, ma.v, f);
-    return mc.v.to_double();  // mpfr_get
-  };
-  if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;  // mpfr_init2 per op
-    auto* mc = new EmuCell;
-    const double r = compute(*ma, *mc);
-    delete ma;  // mpfr_clear per op
-    delete mc;
-    return r;
+template <std::size_t N>
+double Runtime::emulate(ThreadState& ts, OpKind k, const std::array<double, N>& x,
+                        const sf::Format& f) {
+  // Each cell stands in for an MPFR variable: [0, N) hold the rounded
+  // operands, N the result. Naive mode news/deletes every cell per
+  // operation (mpfr_init2 / mpfr_clear); scratch mode reuses the pad.
+  const bool naive = alloc_ == AllocStrategy::Naive;
+  std::array<sf::BigFloat*, N + 1> cell;
+  for (std::size_t i = 0; i <= N; ++i) cell[i] = naive ? new sf::BigFloat : &ts.scratch[i];
+  for (std::size_t i = 0; i < N; ++i) *cell[i] = sf::BigFloat::from_double_rounded(x[i], f);
+  *cell[N] = bf_apply<N>(k, cell.data(), f);
+  const double r = cell[N]->to_double();  // mpfr_get
+  if (naive) {
+    for (sf::BigFloat* c : cell) delete c;
   }
-  return compute(ts.scratch[0], ts.scratch[2]);
-}
-
-double Runtime::emulate2(ThreadState& ts, OpKind k, double a, double b, const sf::Format& f) {
-  const auto compute = [&](EmuCell& ma, EmuCell& mb, EmuCell& mc) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);
-    mb.v = sf::BigFloat::from_double_rounded(b, f);
-    mc.v = bf_op2(k, ma.v, mb.v, f);
-    return mc.v.to_double();
-  };
-  if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;
-    auto* mb = new EmuCell;
-    auto* mc = new EmuCell;
-    const double r = compute(*ma, *mb, *mc);
-    delete ma;
-    delete mb;
-    delete mc;
-    return r;
-  }
-  return compute(ts.scratch[0], ts.scratch[1], ts.scratch[2]);
-}
-
-double Runtime::emulate3(ThreadState& ts, OpKind k, double a, double b, double c,
-                         const sf::Format& f) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  const auto compute = [&](EmuCell& ma, EmuCell& mb, EmuCell& mc, EmuCell& md) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);
-    mb.v = sf::BigFloat::from_double_rounded(b, f);
-    mc.v = sf::BigFloat::from_double_rounded(c, f);
-    md.v = sf::BigFloat::fma(ma.v, mb.v, mc.v, f);
-    return md.v.to_double();
-  };
-  if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;
-    auto* mb = new EmuCell;
-    auto* mc = new EmuCell;
-    auto* md = new EmuCell;
-    const double r = compute(*ma, *mb, *mc, *md);
-    delete ma;
-    delete mb;
-    delete mc;
-    delete md;
-    return r;
-  }
-  return compute(ts.scratch[0], ts.scratch[1], ts.scratch[2], ts.scratch[3]);
+  return r;
 }
 
 // ---------------------------------------------------------------------------
 // Mem-mode (Fig. 5b semantics with refcounting on top)
 // ---------------------------------------------------------------------------
 
-double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, const sf::Format& f,
-                       bool truncated) {
-  sf::BigFloat t[3];
-  double s[3];
-  double dev[3];
+template <std::size_t N>
+double Runtime::mem_op(ThreadState& ts, OpKind k, const std::array<double, N>& args,
+                       const sf::Format& f, bool truncated) {
+  std::array<sf::BigFloat, N> t;
+  std::array<double, N> s;
+  std::array<const sf::BigFloat*, N> tp;  // bf_apply's operand view of t
+  bool fresh = true;  // no operand already deviates beyond the threshold
   ShadowEntry e;
-  for (int i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < N; ++i) {
     // One locked read per boxed operand: the generation check and the entry
     // copy share a single shard-locked section. A stale handle (surviving
     // mem_clear) fails the check and is promoted below as a NaN *value*.
@@ -603,7 +584,7 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, con
                                     boxing::unbox_generation(args[i]), e)) {
       t[i] = e.trunc;
       s[i] = e.shadow;
-      dev[i] = deviation_of(t[i].to_double(), s[i]);
+      fresh = fresh && deviation_of(t[i].to_double(), s[i]) <= dev_threshold_;
     } else {
       // Constant / unconverted operand: promote on the fly. Rounding error
       // introduced here belongs to *this* operation (it is the _raptor_pre_c
@@ -611,26 +592,13 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, con
       t[i] = truncated ? sf::BigFloat::from_double_rounded(args[i], f)
                        : sf::BigFloat::from_double(args[i]);
       s[i] = args[i];
-      dev[i] = 0.0;
     }
+    tp[i] = &t[i];
   }
 
-  sf::BigFloat tr;
-  double sr;
-  switch (n) {
-    case 1:
-      tr = bf_op1(k, t[0], f);
-      sr = native1(k, s[0]);
-      break;
-    case 2:
-      tr = bf_op2(k, t[0], t[1], f);
-      sr = native2(k, s[0], s[1]);
-      break;
-    default:
-      tr = sf::BigFloat::fma(t[0], t[1], t[2], f);
-      sr = native3(k, s[0], s[1], s[2]);
-      break;
-  }
+  const sf::BigFloat tr = bf_apply<N>(k, tp.data(), f);
+  double sr = 0.0;
+  with_native<double, N>(k, [&](auto op) { sr = std::apply(op, s); });
 
   const double dev_r = deviation_of(tr.to_double(), sr);
   if (RegionProfile* rp = region_prof(ts)) {
@@ -638,13 +606,11 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, con
     if (dev_r > dev_threshold_) ++rp->flagged;
   }
   if (dev_r > dev_threshold_) {
-    bool fresh = true;
-    for (int i = 0; i < n; ++i) fresh = fresh && dev[i] <= dev_threshold_;
     const char* label = ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
     record_flag(label, k, dev_r, fresh);
   }
-  // Mem-mode events carry the result's deviation bucket; the caller's trace
-  // hook skips NaN-boxed results, so this is the only capture point.
+  // Mem-mode events carry the result's deviation bucket; op_scalar does not
+  // trace mem-mode results, so this is the only capture point.
   if (trace_on_) {
     const double rv = tr.to_double();
     trace_event(ts, k, &rv, 1, truncated ? &f : nullptr, /*span=*/false, /*mem=*/true,
@@ -723,59 +689,6 @@ void Runtime::mem_release(double maybe_boxed) {
 }
 
 // ---------------------------------------------------------------------------
-// Instrumented entry points
-// ---------------------------------------------------------------------------
-
-void Runtime::count_scalar(ThreadState& ts, OpKind k, bool trunc) {
-  if (!counting_) return;
-  ts.counters.bump_ops(k, trunc, 1);
-  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, 1);
-}
-
-void Runtime::count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n) {
-  if (!counting_) return;
-  // Per-vector bulk-bump audit (DESIGN.md §13): bump_ops takes the element
-  // count directly, so one call here accounts the whole span regardless of
-  // how the loop body chops it into vectors and scalar tail — `ops counted
-  // == elements processed` holds exactly for every lane width. Pinned by
-  // test_simd_parity's CounterConservation suite.
-  ts.counters.bump_ops(k, trunc, n);
-  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
-}
-
-namespace {
-/// Fast-kernel eligibility per arity (see fast_round.hpp): arithmetic kinds
-/// whose one-hardware-op-plus-fast_round execution is bit-identical to the
-/// BigFloat reference inside the format envelope.
-inline bool fast1_kind(OpKind k) { return k == OpKind::Neg || k == OpKind::Sqrt; }
-inline bool fast2_kind(OpKind k) {
-  return k == OpKind::Add || k == OpKind::Sub || k == OpKind::Mul || k == OpKind::Div;
-}
-
-inline double fast1(OpKind k, double a, const sf::Format& f) {
-  return k == OpKind::Neg ? sf::fast_neg(a, f) : sf::fast_sqrt(a, f);
-}
-
-inline double fast2(OpKind k, double a, double b, const sf::Format& f) {
-  switch (k) {
-    case OpKind::Add: return sf::fast_add(a, b, f);
-    case OpKind::Sub: return sf::fast_sub(a, b, f);
-    case OpKind::Mul: return sf::fast_mul(a, b, f);
-    default: return sf::fast_div(a, b, f);
-  }
-}
-
-inline sf::simd::SpanOp span2_op(OpKind k) {
-  switch (k) {
-    case OpKind::Add: return sf::simd::SpanOp::Add;
-    case OpKind::Sub: return sf::simd::SpanOp::Sub;
-    case OpKind::Mul: return sf::simd::SpanOp::Mul;
-    default: return sf::simd::SpanOp::Div;
-  }
-}
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // Trace capture (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 //
@@ -835,250 +748,89 @@ void Runtime::trace_event(ThreadState& ts, OpKind k, const double* vals, std::si
   ts.trace_buf->ring.try_push(ev);
 }
 
-double Runtime::op1(OpKind k, double a, int width) {
-  ThreadState& ts = tls();
-  const double r = op1_dispatch(ts, k, a, width);
-  // Mem-mode results are NaN-boxed handles and were already traced (with
-  // their deviation bucket) inside mem_op; everything else is traced here,
-  // re-reading the effective format from the (hot) thread-local cache.
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op2(OpKind k, double a, double b, int width) {
-  ThreadState& ts = tls();
-  const double r = op2_dispatch(ts, k, a, b, width);
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op3(OpKind k, double a, double b, double c, int width) {
-  ThreadState& ts = tls();
-  const double r = op3_dispatch(ts, k, a, b, c, width);
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op1_dispatch(ThreadState& ts, OpKind k, double a, int width) {
-  const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem && boxing::is_boxed(a)) {
-      count_scalar(ts, k, false);
-      return mem_op(ts, k, &a, 1, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native1(k, a);
-  }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) return mem_op(ts, k, &a, 1, *f, true);
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native1(k, a);
-    if (*f == sf::Format::fp32()) return native1_f32(k, a);
-    // Narrower formats execute on fp64 hardware + fast_round, never through
-    // fp32 hardware: widening through fp32 double-rounds for man_bits > 11
-    // (DESIGN.md §8; pinned by DoubleRoundingWitness in test_runtime).
-    if (fast1_kind(k) && sf::fast_op_supports(*f)) return fast1(k, a, *f);
-  }
-  return emulate1(ts, k, a, *f);
-}
-
-double Runtime::op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int width) {
-  const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem && (boxing::is_boxed(a) || boxing::is_boxed(b))) {
-      count_scalar(ts, k, false);
-      const double args[2] = {a, b};
-      return mem_op(ts, k, args, 2, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native2(k, a, b);
-  }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) {
-    const double args[2] = {a, b};
-    return mem_op(ts, k, args, 2, *f, true);
-  }
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native2(k, a, b);
-    if (*f == sf::Format::fp32()) return native2_f32(k, a, b);
-    if (fast2_kind(k) && sf::fast_op_supports(*f)) return fast2(k, a, b, *f);
-  }
-  return emulate2(ts, k, a, b, *f);
-}
-
-double Runtime::op3_dispatch(ThreadState& ts, OpKind k, double a, double b, double c, int width) {
-  const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem &&
-        (boxing::is_boxed(a) || boxing::is_boxed(b) || boxing::is_boxed(c))) {
-      count_scalar(ts, k, false);
-      const double args[3] = {a, b, c};
-      return mem_op(ts, k, args, 3, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native3(k, a, b, c);
-  }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) {
-    const double args[3] = {a, b, c};
-    return mem_op(ts, k, args, 3, *f, true);
-  }
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native3(k, a, b, c);
-    if (*f == sf::Format::fp32()) return native3_f32(k, a, b, c);
-    if (sf::fast_fma_supports(*f)) return sf::fast_fma(a, b, c, *f);
-  }
-  return emulate3(ts, k, a, b, c, *f);
-}
-
 // ---------------------------------------------------------------------------
-// Batched op-mode dispatch (DESIGN.md §8)
+// Instrumented entry points: the scalar and span executors
 // ---------------------------------------------------------------------------
-//
-// Shared structure: resolve the thread state, mode and effective format once,
-// bump the counters with a single bulk add, then stream one of four loop
-// bodies over the span — native (no truncation), hardware (fp64/fp32 under
-// the fast-path flag), fast_round integer kernel (formats inside the
-// innocuous-double-rounding envelope), or per-element BigFloat emulation.
-// Every body is bit-identical to the scalar op loop it replaces; mem-mode
-// delegates to the scalar entry points so handle ownership is unchanged.
 
-void Runtime::op1_batch(OpKind k, const double* a, double* out, std::size_t n, int width) {
+void Runtime::count(ThreadState& ts, OpKind k, bool trunc, u64 n) {
+  if (!counting_) return;
+  // One bump per span, whatever the lane width or tail split: `ops counted
+  // == elements processed` (DESIGN.md §13; test_simd_parity pins it).
+  ts.counters.bump_ops(k, trunc, n);
+  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
+}
+
+template <std::size_t N>
+double Runtime::op_scalar(OpKind k, const std::array<double, N>& x, int width) {
+  ThreadState& ts = tls();
+  const sf::Format* f = effective_format(ts, width);
+  count(ts, k, f != nullptr, 1);
+  if (mode_ == Mode::Mem && (f != nullptr || std::any_of(x.begin(), x.end(), boxing::is_boxed))) {
+    return mem_op(ts, k, x, f != nullptr ? *f : sf::Format::fp64(), f != nullptr);
+  }
+  double r = 0.0;
+  const auto hw = [&](auto op) { r = std::apply(op, x); };
+  switch (select_exec<N>(k, f, hw_fastpath_)) {
+    case Exec::F64: with_native<double, N>(k, hw); break;
+    case Exec::F32: with_native<float, N>(k, hw); break;
+    case Exec::Fast: r = fast_apply(*fast_kernel<N>(k), x, sf::RoundSpec(*f)); break;
+    case Exec::BigFloat: r = emulate(ts, k, x, *f); break;
+  }
+  if (trace_on_) trace_event(ts, k, &r, 1, f, /*span=*/false, /*mem=*/false, trace::kDevNone);
+  return r;
+}
+
+template <std::size_t N>
+void Runtime::op_span(OpKind k, const std::array<const double*, N>& x, double* out, std::size_t n,
+                      int width) {
   if (n == 0) return;
-  ThreadState& ts = tls();
   if (mode_ == Mode::Mem) {
-    // Scalar entry points keep handle ownership semantics and trace each
-    // element (with deviation buckets) themselves.
-    for (std::size_t i = 0; i < n; ++i) out[i] = op1(k, a[i], width);
+    // Scalar ops keep handle ownership semantics and trace each element
+    // (with deviation buckets) themselves.
+    for (std::size_t i = 0; i < n; ++i) out[i] = op_scalar(k, at(x, i), width);
     return;
   }
+  ThreadState& ts = tls();
   const sf::Format* f = effective_format(ts, width);
-  op1_batch_op(ts, k, a, out, n, f);
+  count(ts, k, f != nullptr, n);
+  const auto hw = [&](auto op) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::apply(op, at(x, i));
+  };
+  switch (select_exec<N>(k, f, hw_fastpath_)) {
+    case Exec::F64: with_native<double, N>(k, hw); break;
+    case Exec::F32: with_native<float, N>(k, hw); break;
+    case Exec::Fast:
+      // Operand slots the kernel does not read alias the last operand.
+      sf::simd::span_exec(simd_path_, *fast_kernel<N>(k), x[0], x[N > 1 ? 1 : 0], x[N - 1], out,
+                          n, sf::RoundSpec(*f));
+      break;
+    case Exec::BigFloat:
+      for (std::size_t i = 0; i < n; ++i) out[i] = emulate(ts, k, at(x, i), *f);
+      break;
+  }
   // One sampling-countdown decrement per span; a sampled span records one
   // event plus per-element exponent histogram updates.
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
+  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, /*mem=*/false, trace::kDevNone);
 }
 
-void Runtime::op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
-                           const sf::Format* f) {
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return;
-  }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1_f32(k, a[i]);
-    return;
-  }
-  if (fast1_kind(k) && sf::fast_op_supports(*f)) {
-    const sf::RoundSpec fmt(*f);
-    sf::simd::span_exec(simd_path_,
-                        k == OpKind::Neg ? sf::simd::SpanOp::Neg : sf::simd::SpanOp::Sqrt, a,
-                        nullptr, nullptr, out, n, fmt);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate1(ts, k, a[i], *f);
+double Runtime::op1(OpKind k, double a, int width) { return op_scalar<1>(k, {a}, width); }
+double Runtime::op2(OpKind k, double a, double b, int width) {
+  return op_scalar<2>(k, {a, b}, width);
+}
+double Runtime::op3(OpKind k, double a, double b, double c, int width) {
+  return op_scalar<3>(k, {a, b, c}, width);
 }
 
+void Runtime::op1_batch(OpKind k, const double* a, double* out, std::size_t n, int width) {
+  op_span<1>(k, {a}, out, n, width);
+}
 void Runtime::op2_batch(OpKind k, const double* a, const double* b, double* out, std::size_t n,
                         int width) {
-  if (n == 0) return;
-  ThreadState& ts = tls();
-  if (mode_ == Mode::Mem) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = op2(k, a[i], b[i], width);
-    return;
-  }
-  const sf::Format* f = effective_format(ts, width);
-  op2_batch_op(ts, k, a, b, out, n, f);
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
+  op_span<2>(k, {a, b}, out, n, width);
 }
-
-void Runtime::op2_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b,
-                           double* out, std::size_t n, const sf::Format* f) {
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    switch (k) {
-      case OpKind::Add:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-        break;
-      case OpKind::Sub:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-        break;
-      case OpKind::Mul:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-        break;
-      case OpKind::Div:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
-        break;
-      default:
-        for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, a[i], b[i]);
-        break;
-    }
-    return;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, a[i], b[i]);
-    return;
-  }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2_f32(k, a[i], b[i]);
-    return;
-  }
-  if (fast2_kind(k) && sf::fast_op_supports(*f)) {
-    const sf::RoundSpec fmt(*f);  // hoisted format constants for the hot loop
-    sf::simd::span_exec(simd_path_, span2_op(k), a, b, nullptr, out, n, fmt);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate2(ts, k, a[i], b[i], *f);
-}
-
 void Runtime::op3_batch(OpKind k, const double* a, const double* b, const double* c, double* out,
                         std::size_t n, int width) {
-  if (n == 0) return;
-  ThreadState& ts = tls();
-  if (mode_ == Mode::Mem) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = op3(k, a[i], b[i], c[i], width);
-    return;
-  }
-  const sf::Format* f = effective_format(ts, width);
-  op3_batch_op(ts, k, a, b, c, out, n, f);
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
-}
-
-void Runtime::op3_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b,
-                           const double* c, double* out, std::size_t n, const sf::Format* f) {
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3(k, a[i], b[i], c[i]);
-    return;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3(k, a[i], b[i], c[i]);
-    return;
-  }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3_f32(k, a[i], b[i], c[i]);
-    return;
-  }
-  if (sf::fast_fma_supports(*f)) {
-    const sf::RoundSpec fmt(*f);
-    sf::simd::span_exec(simd_path_, sf::simd::SpanOp::Fma, a, b, c, out, n, fmt);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate3(ts, k, a[i], b[i], c[i], *f);
+  op_span<3>(k, {a, b, c}, out, n, width);
 }
 
 void Runtime::trunc_array(const double* in, double* out, std::size_t n, int width) {

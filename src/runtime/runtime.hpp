@@ -3,9 +3,10 @@
 //
 // Responsibilities:
 //  * op-mode: round operands into the target format, execute the operation
-//    correctly rounded in that format, widen back (Fig. 5a) — either via the
-//    BigFloat emulator or a native "hardware" fast path when the target is a
-//    machine format;
+//    correctly rounded in that format, widen back (Fig. 5a) — via the
+//    bit-exact fast_round kernels inside their envelope, a native
+//    "hardware" fast path when the target is a machine format, or the
+//    BigFloat emulator;
 //  * mem-mode: values remain in their target-format representation between
 //    operations, with an FP64 shadow tracking the never-truncated reference;
 //    deviations beyond a threshold are flagged and grouped per code location
@@ -32,6 +33,7 @@
 // changes via an epoch counter.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -65,6 +67,10 @@ class Runtime {
   [[nodiscard]] AllocStrategy alloc_strategy() const { return alloc_; }
   /// Execute natively when the target format is a machine format
   /// (fp64/fp32): the paper's "hardware types" path with ~zero overhead.
+  /// Arithmetic results (add/sub/mul/div/sqrt/fma) are bit-identical
+  /// either way; elementary functions (exp, log, sin, pow, ...) run on
+  /// libm instead of the faithful BigFloat emulator and can differ in the
+  /// last bit. Formats other than fp64/fp32 are unaffected.
   void set_hw_fastpath(bool on) { hw_fastpath_ = on; }
   [[nodiscard]] bool hw_fastpath() const { return hw_fastpath_; }
   /// Toggle operation counting (counting itself costs time; Table 3
@@ -204,17 +210,12 @@ class Runtime {
   // -- Batched op-mode dispatch (DESIGN.md §8) ----------------------------
   //
   // Element-wise `k` over contiguous spans, bit-identical to the equivalent
-  // scalar op loop (same per-element results, same counter totals) but with
-  // the effective format, cached truncation state, mode and fast-path
-  // eligibility resolved ONCE per batch, counters updated with one bulk add,
-  // and — for formats inside the fast_round envelope — the BigFloat
-  // emulator replaced by sf::fast_* integer kernels. Unlike the scalar
-  // path, the fast kernels apply REGARDLESS of the hw_fastpath flag: batch
-  // callers opt into "as fast as possible, bit-identical" semantics, so
-  // hw_fastpath only chooses whether fp64/fp32 additionally run on native
-  // float hardware. The Table-3 emulation-cost ablation therefore measures
-  // the scalar entry points (see bench/table3_overhead.cpp). In-place calls
-  // (out == a etc.) are allowed; out must not partially overlap an input.
+  // scalar op loop (same per-element results, same counter totals): both
+  // share one executor rule, but a batch resolves the effective format,
+  // cached truncation state, mode and executor ONCE per span, updates the
+  // counters with one bulk add, and runs formats inside the fast_round
+  // envelope on the SIMD span kernels. In-place calls (out == a etc.) are
+  // allowed; out must not partially overlap an input.
   // In mem-mode these fall back to the per-element scalar path so NaN-boxed
   // handles keep their ownership semantics.
 
@@ -321,23 +322,21 @@ class Runtime {
   /// in the same operation so the epoch is synced (see ThreadState).
   RegionProfile* region_prof(ThreadState& ts);
 
-  /// Counter bumps shared by the scalar and batch entry points: thread
-  /// totals plus (when region profiling is on) the innermost region's slot.
-  void count_scalar(ThreadState& ts, OpKind k, bool trunc);
-  void count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n);
+  /// Counter bump shared by the scalar and span executors: `n` ops into
+  /// the thread totals plus (when region profiling is on) the innermost
+  /// region's slot.
+  void count(ThreadState& ts, OpKind k, bool trunc, u64 n);
 
-  // Dispatch bodies behind the public op entry points: the public wrappers
-  // add the trace hook around them (the result value is needed for the
-  // event's exponent class, so the hook sits after dispatch).
-  double op1_dispatch(ThreadState& ts, OpKind k, double a, int width);
-  double op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int width);
-  double op3_dispatch(ThreadState& ts, OpKind k, double a, double b, double c, int width);
-  void op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
-                    const sf::Format* f);
-  void op2_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b, double* out,
-                    std::size_t n, const sf::Format* f);
-  void op3_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b, const double* c,
-                    double* out, std::size_t n, const sf::Format* f);
+  // The instrumented-op dispatch, written once for every arity N (1, 2, or
+  // 3 operands; DESIGN.md §5). Both executors resolve the effective format,
+  // count, and run the executor one selection rule picks for (kind, N,
+  // format): op_scalar per op behind op1/op2/op3, op_span once per span
+  // behind op1/op2/op3_batch.
+  template <std::size_t N>
+  double op_scalar(OpKind k, const std::array<double, N>& x, int width);
+  template <std::size_t N>
+  void op_span(OpKind k, const std::array<const double*, N>& x, double* out, std::size_t n,
+               int width);
 
   /// Trace capture (called only when trace_on_): re-syncs the thread with
   /// the tracer session, pays the sampling countdown, and on-sample records
@@ -346,16 +345,14 @@ class Runtime {
   void trace_event(ThreadState& ts, OpKind k, const double* vals, std::size_t n,
                    const sf::Format* f, bool span, bool mem, u8 dev_bucket);
 
-  double native1(OpKind k, double a) const;
-  double native2(OpKind k, double a, double b) const;
-  double native2_f32(OpKind k, double a, double b) const;
-  double native1_f32(OpKind k, double a) const;
-
-  double emulate1(ThreadState& ts, OpKind k, double a, const sf::Format& f);
-  double emulate2(ThreadState& ts, OpKind k, double a, double b, const sf::Format& f);
-  double emulate3(ThreadState& ts, OpKind k, double a, double b, double c, const sf::Format& f);
-
-  double mem_op(ThreadState& ts, OpKind k, const double* args, int n, const sf::Format& f,
+  /// One op through BigFloat in format `f` (Fig. 5a), with the naive or
+  /// scratch allocation strategy.
+  template <std::size_t N>
+  double emulate(ThreadState& ts, OpKind k, const std::array<double, N>& x, const sf::Format& f);
+  /// One mem-mode op (Fig. 5b): BigFloat result and FP64 shadow, returned
+  /// as a NaN-boxed handle.
+  template <std::size_t N>
+  double mem_op(ThreadState& ts, OpKind k, const std::array<double, N>& x, const sf::Format& f,
                 bool truncated);
 
   void record_flag(const char* location, OpKind k, double deviation, bool fresh);

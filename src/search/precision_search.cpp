@@ -72,7 +72,11 @@ SearchResult PrecisionSearch::run(const Workload& workload) const {
 
   // 1. Reference run: native precision, per-region profiling on.
   R.reset_all();
-  R.set_hw_fastpath(true);  // sweep speed; bit-identical (DESIGN.md §8)
+  // Sweep speed: fp64/fp32 candidates run on hardware. Not bit-identical to
+  // BigFloat for elementary functions (libm vs the faithful emulator, last
+  // bits; DESIGN.md §5), so every run of the search, the final one included,
+  // uses the same setting.
+  R.set_hw_fastpath(true);
   R.set_region_profiling(true);
   const std::vector<double> ref = workload.run();
   out.reference_profile = R.region_profiles();

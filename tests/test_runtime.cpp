@@ -309,7 +309,9 @@ TEST_F(RuntimeTest, RetiredThreadCountersSurviveInRegionProfiles) {
 // ---------------------------------------------------------------------------
 
 TEST_F(RuntimeTest, NaiveAndScratchProduceIdenticalResults) {
-  TruncScope scope(8, 14);
+  // e11 is outside the fast_* envelope, so both ops reach BigFloat and
+  // exercise the two allocation strategies.
+  TruncScope scope(11, 14);
   R.set_alloc_strategy(AllocStrategy::Naive);
   const double naive = R.op2(OpKind::Div, 355.0, 113.0, 64);
   R.set_alloc_strategy(AllocStrategy::Scratch);
@@ -355,6 +357,45 @@ TEST_F(RuntimeTest, HwFastpathParityAcrossArities) {
   const double fused = R.op3(OpKind::Fma, x, x, -xx, 64);
   EXPECT_NE(fused, 0.0);  // the round-off a*b - round(a*b), exact under FMA
   EXPECT_DOUBLE_EQ(fused, std::fma(static_cast<float>(x), static_cast<float>(x), -xx));
+
+  // What hw_fastpath changes, kind by kind: fp64/fp32 targets run on
+  // hardware/libm instead of BigFloat. The correctly rounded kinds cannot
+  // differ; the elementary functions compare libm against the faithful
+  // emulator and may differ in the last bits, so they only have to agree
+  // to a few format ulps. e8m12 is neither machine format: the flag
+  // changes nothing there.
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> pos(0.01, 100.0), sym(-8.0, 8.0);
+  for (const sf::Format fmt : {sf::Format{8, 23}, sf::Format{11, 52}, sf::Format{8, 12}}) {
+    TruncScope fs(fmt.exp_bits, fmt.man_bits);
+    for (const OpKind k : {OpKind::Add, OpKind::Mul, OpKind::Div, OpKind::Sqrt, OpKind::Fma,
+                           OpKind::Exp, OpKind::Log, OpKind::Sin, OpKind::Pow}) {
+      const bool elementary =
+          k == OpKind::Exp || k == OpKind::Log || k == OpKind::Sin || k == OpKind::Pow;
+      for (int i = 0; i < 2000; ++i) {
+        const double x = k == OpKind::Exp || k == OpKind::Sin ? sym(rng) : pos(rng);
+        const double y = k == OpKind::Pow ? sym(rng) : pos(rng);
+        const double z = sym(rng);
+        const auto run = [&](bool hw) {
+          R.set_hw_fastpath(hw);
+          if (k == OpKind::Fma) return R.op3(k, x, y, z, 64);
+          if (k == OpKind::Sqrt || k == OpKind::Exp || k == OpKind::Log || k == OpKind::Sin) {
+            return R.op1(k, x, 64);
+          }
+          return R.op2(k, x, y, 64);
+        };
+        const double emu = run(false);
+        const double hw = run(true);
+        if (!elementary || fmt == sf::Format{8, 12}) {
+          ASSERT_EQ(std::bit_cast<u64>(emu), std::bit_cast<u64>(hw))
+              << op_name(k) << " " << fmt.to_string() << " x=" << x << " y=" << y << " z=" << z;
+        } else {
+          ASSERT_LE(std::fabs(emu - hw), std::ldexp(std::fabs(emu), 2 - fmt.man_bits))
+              << op_name(k) << " " << fmt.to_string() << " x=" << x << " y=" << y;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(RuntimeTest, Fp64FastpathFmaMatchesEmulation) {
@@ -435,6 +476,30 @@ CounterTotals totals() {
   return {c.trunc_flops, c.full_flops, c.trunc_by_kind, c.full_by_kind};
 }
 
+/// Independent BigFloat oracle for the kinds with a fast_* kernel (nullopt
+/// for the rest): scalar and batch ops share one executor, so their parity
+/// alone would compare the fast kernel with itself.
+std::optional<double> oracle(OpKind k, double a, double b, double c, const sf::Format& f) {
+  switch (k) {
+    case OpKind::Add: return sf::trunc_add(a, b, f);
+    case OpKind::Sub: return sf::trunc_sub(a, b, f);
+    case OpKind::Mul: return sf::trunc_mul(a, b, f);
+    case OpKind::Div: return sf::trunc_div(a, b, f);
+    case OpKind::Sqrt: return sf::trunc_sqrt(a, f);
+    case OpKind::Fma: return sf::trunc_fma(a, b, c, f);
+    default: return std::nullopt;
+  }
+}
+
+/// Bitwise equality with the oracle. Under hw_fastpath, fp64/fp32 targets
+/// run on hardware, whose NaN results need not carry BigFloat's canonical
+/// NaN payload.
+bool matches_oracle(double got, double want, bool hw, const sf::Format& f) {
+  const bool hw_format = hw && (f == sf::Format::fp64() || f == sf::Format::fp32());
+  return std::bit_cast<u64>(got) == std::bit_cast<u64>(want) ||
+         (hw_format && std::isnan(got) && std::isnan(want));
+}
+
 }  // namespace batchtest
 
 TEST_F(RuntimeTest, Op2BatchMatchesScalarLoopBitwise) {
@@ -470,6 +535,14 @@ TEST_F(RuntimeTest, Op2BatchMatchesScalarLoopBitwise) {
             << op_name(k) << " i=" << i << " fmt "
             << (spec ? spec->to_string() : std::string("native")) << " hw=" << hw << " a=0x"
             << std::hex << std::bit_cast<u64>(a[i]) << " b=0x" << std::bit_cast<u64>(b[i]);
+        const auto want =
+            spec ? batchtest::oracle(k, a[i], b[i], 0.0, *spec->for64) : std::nullopt;
+        if (want) {
+          ASSERT_TRUE(batchtest::matches_oracle(batch[i], *want, hw, *spec->for64))
+              << op_name(k) << " vs BigFloat, i=" << i << " fmt " << spec->to_string()
+              << " hw=" << hw << " got=0x" << std::hex << std::bit_cast<u64>(batch[i])
+              << " want=0x" << std::bit_cast<u64>(*want);
+        }
       }
       EXPECT_EQ(scalar_counts, batch_counts) << op_name(k);
     }
@@ -494,6 +567,12 @@ TEST_F(RuntimeTest, Op1AndOp3BatchMatchScalarLoops) {
           ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batch[i]))
               << op_name(k) << " hw=" << hw << " i=" << i << " a=0x" << std::hex
               << std::bit_cast<u64>(a[i]);
+          if (const auto want = batchtest::oracle(k, a[i], 0.0, 0.0, *spec.for64)) {
+            ASSERT_TRUE(batchtest::matches_oracle(batch[i], *want, hw, *spec.for64))
+                << op_name(k) << " vs BigFloat, hw=" << hw << " fmt " << spec.to_string()
+                << " i=" << i << " got=0x" << std::hex << std::bit_cast<u64>(batch[i])
+                << " want=0x" << std::bit_cast<u64>(*want);
+          }
         }
       }
       std::vector<double> scalar(a.size()), batch(a.size());
@@ -510,6 +589,11 @@ TEST_F(RuntimeTest, Op1AndOp3BatchMatchScalarLoops) {
             << "fma hw=" << hw << " fmt " << spec.to_string() << " i=" << i << " a=0x"
             << std::hex << std::bit_cast<u64>(a[i]) << " b=0x" << std::bit_cast<u64>(b[i])
             << " c=0x" << std::bit_cast<u64>(c[i]);
+        const double want = *batchtest::oracle(OpKind::Fma, a[i], b[i], c[i], *spec.for64);
+        ASSERT_TRUE(batchtest::matches_oracle(batch[i], want, hw, *spec.for64))
+            << "fma vs BigFloat, hw=" << hw << " fmt " << spec.to_string() << " i=" << i
+            << " got=0x" << std::hex << std::bit_cast<u64>(batch[i])
+            << " want=0x" << std::bit_cast<u64>(want);
       }
     }
   }
