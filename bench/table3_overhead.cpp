@@ -16,10 +16,12 @@
 // truncated op is BigFloat emulation and the allocation ablation bites.
 // The batched op-mode dispatch (DESIGN.md §8) is measured at e8m12, inside
 // the envelope, where scalar ops run the per-op fast_* kernels and batches
-// the SIMD span kernels: on the two wired inner loops — the WENO5 row
-// kernel and the PLM reconstruction pencil — as
+// the SIMD span kernels: on three wired inner loops — the WENO5 row
+// kernel, the PLM reconstruction pencil and the HLLC Riemann fluxes of a
+// span of faces — as
 //     overhead_ratio = (t_scalar - t_native) / (t_batch - t_native)
-// plus an end-to-end Sedov comparison with hc.batch on/off. Everything is
+// plus an end-to-end Sedov comparison with hc.batch on/off (the batched
+// side runs each block's whole sweep through the batch entry points). Everything is
 // written to table3_overhead.csv and, for the recorded perf trajectory,
 // BENCH_table3.json.
 //
@@ -27,15 +29,15 @@
 // naive; counting adds measurable cost; mem-mode is the most expensive;
 // the batched loops beat scalar dispatch by >= 3x overhead.
 //
-// The two loop benches additionally re-measure the batched phase once per
+// The loop benches additionally re-measure the batched phase once per
 // supported SIMD dispatch path (DESIGN.md §13) — the forced-portable run is
 // the pre-SIMD per-element loop body, so batch_portable_s / batch_<best>_s
 // is the SIMD speedup — and write the per-path numbers to BENCH_simd.json.
 //
 // Options: --level=N, --steps=N, --csv=..., --json=..., --simd-json=...,
 //   --loops-only (skip the Sedov table; CI), --gate-simd=N (exit nonzero
-//   unless the best SIMD path is >= N times the portable path on both
-//   loops; no-op when only the portable path is supported).
+//   unless the best SIMD path is >= N times the portable path on every
+//   loop; no-op when only the portable path is supported).
 #include <cmath>
 #include <string>
 #include <vector>
@@ -201,11 +203,90 @@ LoopBench bench_plm_pencil(int n, int reps) {
     R.force_simd_path(p);
     std::vector<hydro::PrimState<Real>> w(n + 2 * ng), wl(n + 1), wr(n + 1);
     fill(w);
-    hydro::PlmBatchScratch scratch;
     TruncScope sc(spec);
     Timer t;
     for (int r = 0; r < reps; ++r) {
-      hydro::plm_pencil_batch(w, wl, wr, n, ng, 1e-10, 1e-14, scratch);
+      hydro::plm_pencil_batch(w, wl, wr, n, ng, 1e-10, 1e-14);
+    }
+    const double s = t.seconds();
+    R.reset_all();
+    return s;
+  };
+  for (const sf::simd::Path p : kAllPaths) {
+    if (sf::simd::path_supported(p)) {
+      out.batch_path_s[static_cast<int>(p)] = run_batch(p);
+    }
+  }
+  out.batch_s = out.batch_path_s[static_cast<int>(sf::simd::default_path())];
+  return out;
+}
+
+/// HLLC Riemann fluxes over a span of faces at format e8m12:
+/// riemann_flux<double> / riemann_flux<Real> per face / riemann_flux_batch
+/// over the whole span (its wave-speed partitions included). The faces mix
+/// subsonic ones (the star regions) with supersonic ones of both signs.
+LoopBench bench_riemann_faces(int n, int reps) {
+  auto& R = rt::Runtime::instance();
+  const auto spec = rt::TruncationSpec::trunc64(8, 12);
+  constexpr double gamma = 1.4;
+  LoopBench out;
+
+  const auto fill = [&](auto& wl, auto& wr) {
+    for (int f = 0; f < n; ++f) {
+      const double drift = 3.0 * std::sin(0.013 * f);  // |u| > c on some faces
+      wl[f] = {1.0 + 0.3 * std::sin(0.11 * f), drift + 0.2 * std::cos(0.07 * f),
+               0.1 * std::sin(0.05 * f), 1.0 + 0.5 * std::cos(0.13 * f)};
+      wr[f] = {1.0 + 0.3 * std::sin(0.11 * f + 0.4), drift + 0.2 * std::cos(0.07 * f + 0.3),
+               0.1 * std::sin(0.05 * f + 0.2), 1.0 + 0.5 * std::cos(0.13 * f + 0.5)};
+    }
+  };
+
+  {
+    std::vector<hydro::PrimState<double>> wl(n), wr(n);
+    fill(wl, wr);
+    volatile double sink = 0.0;
+    Timer t;
+    for (int r = 0; r < reps; ++r) {
+      for (int f = 0; f < n; ++f) {
+        sink = sink + hydro::riemann_flux(hydro::RiemannKind::HLLC, wl[f], wr[f], gamma).f[3];
+      }
+    }
+    out.native_s = t.seconds();
+  }
+
+  R.reset_all();
+  std::vector<hydro::PrimState<Real>> wl(n), wr(n);
+  fill(wl, wr);
+  {
+    volatile double sink = 0.0;
+    TruncScope sc(spec);
+    Timer t;
+    for (int r = 0; r < reps; ++r) {
+      for (int f = 0; f < n; ++f) {
+        sink = sink + to_double(hydro::riemann_flux(hydro::RiemannKind::HLLC, wl[f], wr[f], gamma).f[3]);
+      }
+    }
+    out.scalar_s = t.seconds();
+  }
+
+  const auto lanes = [&](const std::vector<hydro::PrimState<Real>>& w) {
+    const auto member = [&](Real hydro::PrimState<Real>::* m) {
+      return batch::Vec::gather(w.size(), [&](std::size_t f) { return (w[f].*m).raw(); });
+    };
+    return hydro::PrimState<batch::Vec>{member(&hydro::PrimState<Real>::rho),
+                                        member(&hydro::PrimState<Real>::un),
+                                        member(&hydro::PrimState<Real>::ut),
+                                        member(&hydro::PrimState<Real>::p)};
+  };
+  const auto run_batch = [&](sf::simd::Path p) {
+    R.reset_all();
+    R.force_simd_path(p);
+    volatile double sink = 0.0;
+    TruncScope sc(spec);
+    Timer t;
+    for (int r = 0; r < reps; ++r) {
+      sink = sink + hydro::riemann_flux_batch(hydro::RiemannKind::HLLC, lanes(wl), lanes(wr), gamma)
+                        .f[3][0];
     }
     const double s = t.seconds();
     R.reset_all();
@@ -240,13 +321,14 @@ void json_simd_loop(std::FILE* f, const char* name, const LoopBench& lb, bool tr
 
 /// Per-path loop-bench measurement + BENCH_simd.json + the CI speedup gate.
 /// Returns nonzero when gating is requested and the best SIMD path is not at
-/// least `gate_simd` times the portable path on both loops (skipped — with a
+/// least `gate_simd` times the portable path on every loop (skipped — with a
 /// note — when only the portable path exists, e.g. non-x86 runners).
-int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::string& path,
-                        int gate_simd) {
+int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const LoopBench& riemann,
+                        const std::string& path, int gate_simd) {
   std::printf("\n# SIMD batch kernels, format e8m12 (forced per-path batch timings):\n");
   for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno row", weno},
-                                 {"plm pencil", plm}}) {
+                                 {"plm pencil", plm},
+                                 {"riemann faces", riemann}}) {
     std::printf("%-16s", name);
     for (const sf::simd::Path p : kAllPaths) {
       const double s = lb.batch_path_s[static_cast<int>(p)];
@@ -256,14 +338,16 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::
   }
 
   const bool vector_paths = sf::simd::best_path() != sf::simd::Path::Portable;
-  const bool pass = !vector_paths || std::min(weno.simd_speedup(), plm.simd_speedup()) >=
+  const bool pass = !vector_paths || std::min({weno.simd_speedup(), plm.simd_speedup(),
+                                               riemann.simd_speedup()}) >=
                                          static_cast<double>(gate_simd);
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"simd_batch_kernels\",\n  \"format\": \"e8m12\",\n");
     std::fprintf(f, "  \"default_path\": \"%s\",\n", sf::simd::path_name(sf::simd::default_path()));
     std::fprintf(f, "  \"loops\": {\n");
     json_simd_loop(f, "weno_row", weno, true);
-    json_simd_loop(f, "plm_pencil", plm, false);
+    json_simd_loop(f, "plm_pencil", plm, true);
+    json_simd_loop(f, "riemann_faces", riemann, false);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"gate\": {\"min_speedup\": %d, \"pass\": %s}\n}\n", gate_simd,
                  pass ? "true" : "false");
@@ -275,8 +359,9 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::
     std::printf("# gate-simd skipped: only the portable path is supported here\n");
     return 0;
   }
-  std::printf("# gate-simd=%d: %s (weno %.2fx, plm %.2fx)\n", gate_simd,
-              pass ? "PASS" : "FAIL", weno.simd_speedup(), plm.simd_speedup());
+  std::printf("# gate-simd=%d: %s (weno %.2fx, plm %.2fx, riemann %.2fx)\n", gate_simd,
+              pass ? "PASS" : "FAIL", weno.simd_speedup(), plm.simd_speedup(),
+              riemann.simd_speedup());
   return pass ? 0 : 1;
 }
 
@@ -294,13 +379,17 @@ int run(int argc, char** argv) {
   // measured first so --loops-only (CI) can skip the Sedov table entirely.
   const LoopBench weno = bench_weno_row(4096, 200);
   const LoopBench plm = bench_plm_pencil(4096, 200);
+  const LoopBench riemann = bench_riemann_faces(4096, 50);
   std::printf("# batched dispatch, format e8m12 (overhead vs native, scalar/batched):\n");
   std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
               "weno row", weno.native_s, weno.scalar_s, weno.batch_s, weno.overhead_ratio());
   std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
               "plm pencil", plm.native_s, plm.scalar_s, plm.batch_s, plm.overhead_ratio());
-  const int gate_rc =
-      simd_bench_and_gate(weno, plm, cli.get("simd-json", "BENCH_simd.json"), gate_simd);
+  std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
+              "riemann faces", riemann.native_s, riemann.scalar_s, riemann.batch_s,
+              riemann.overhead_ratio());
+  const int gate_rc = simd_bench_and_gate(weno, plm, riemann,
+                                          cli.get("simd-json", "BENCH_simd.json"), gate_simd);
   if (loops_only) return gate_rc;
 
   hydro::SedovParams sp;
@@ -402,9 +491,10 @@ int run(int argc, char** argv) {
                     -1.0});
   }
 
-  // Batched vs scalar end-to-end at e8m12, inside the fast envelope (recon
-  // + update pencils batched; the Riemann stage stays scalar either way, so
-  // this understates the per-loop gain measured above).
+  // Batched vs scalar end-to-end at e8m12, inside the fast envelope: the
+  // batched side runs every block's sweep (primitive load, recon, Riemann,
+  // update) through the batch entry points; the guard fill, restriction
+  // and prolongation are batched on both sides.
   Measurement sedov_scalar, sedov_batch;
   {
     const sf::Format fast{8, mantissa};
@@ -412,10 +502,10 @@ int run(int argc, char** argv) {
         run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false, fast, false);
     sedov_batch =
         run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, false, fast, true);
-    std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n", "op-mode batched (recon+update)",
+    std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n", "op-mode batched (block sweep)",
                 0, sedov_scalar.seconds, sedov_batch.seconds, sedov_scalar.seconds / base,
                 sedov_batch.seconds / base);
-    rows.push_back({"op-mode batched (recon+update)", 0, sedov_scalar.seconds,
+    rows.push_back({"op-mode batched (block sweep)", 0, sedov_scalar.seconds,
                     sedov_batch.seconds, sedov_scalar.seconds / base,
                     sedov_batch.seconds / base, -1.0});
   }
@@ -473,6 +563,7 @@ int run(int argc, char** argv) {
                  sf::simd::path_name(sf::simd::default_path()));
     json_loop(f, "weno_row", weno, true);
     json_loop(f, "plm_pencil", plm, true);
+    json_loop(f, "riemann_faces", riemann, true);
     std::fprintf(f,
                  "    \"sedov_end_to_end\": {\"scalar_s\": %.6g, \"batch_s\": %.6g, "
                  "\"speedup\": %.3f}\n  }\n}\n",

@@ -27,7 +27,7 @@ inline double minmod(double a, double b) {
 /// Both differences are always computed (the clamped stencil makes the
 /// unused one an exact zero at edges) so scalar/batch op counts agree; the
 /// selection itself is raw logic, not a counted op, exactly like the minmod
-/// in plm_pencil_batch.
+/// in hydro::recon_batch.
 enum : signed char { kSlopeMinmod = 0, kSlopeLo = 1, kSlopeHi = 2 };
 
 inline double select_slope(signed char code, double dm, double dp) {

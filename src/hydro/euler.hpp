@@ -8,6 +8,13 @@
 // refills between). Region labels let mem-mode group deviation flags per
 // stage and let Table-2-style experiments exclude a stage from truncation.
 //
+// Batching (HydroConfig::batch, op-mode, T = Real): each block's sweep runs
+// stage by stage over all its pencils at once through the runtime batch
+// entry points (sweep_block_batch: load, recon_batch, riemann_flux_batch,
+// update), bit-identical to the per-pencil scalar loop in results and in
+// per-region counters (DESIGN.md §8). The double baseline, mem-mode and
+// batch = false keep the per-pencil loop.
+//
 // Truncation scoping: when `trunc` is configured, every block's kernels run
 // under TruncScope(trunc, trunc_enabled(level)) — the per-AMR-level dynamic
 // cutoff of the paper's M-l experiments. CFL control and the AMR machinery
@@ -47,11 +54,12 @@ struct HydroConfig {
   std::optional<rt::TruncationSpec> trunc;
   /// Per-level gate for the spec (the M-l cutoff); default: all levels.
   std::function<bool(int level)> trunc_enabled;
-  /// Route the instrumented reconstruction and flux-update pencils through
-  /// the array batch dispatch (DESIGN.md §8) when running op-mode with
-  /// T = Real. Bit-identical results and counters; only the dispatch
+  /// Run each block's instrumented sweep — primitive load, reconstruction,
+  /// Riemann fluxes and flux update of all its pencils — through the array
+  /// batch dispatch (DESIGN.md §8) when running op-mode with T = Real.
+  /// Bit-identical results and per-region counters; only the dispatch
   /// overhead changes. The double baseline and mem-mode always take the
-  /// scalar path.
+  /// scalar per-pencil path.
   bool batch = true;
 };
 
@@ -107,66 +115,91 @@ void plm_pencil(const std::vector<PrimState<T>>& w, std::vector<PrimState<T>>& w
   }
 }
 
-/// Reusable scratch for plm_pencil_batch (one per thread; resized lazily).
-struct PlmBatchScratch {
-  std::vector<double> m, dlm, dlp, drp, sl, sr, t, rl, rr, half;
-};
+/// Primitive state of one cell from its conserved variables, in the sweep
+/// frame (un along the sweep). Shared by the scalar load and, with
+/// T = batch::Vec, the block batch load.
+template <class T>
+PrimState<T> prim_from_cons(const T& dens, const T& mx, const T& my, const T& en, bool xdir,
+                            double gamma, double dens_floor, double pres_floor) {
+  using std::fmax;
+  const T rho = fmax(dens, T(dens_floor));
+  const T u = mx / rho;
+  const T v = my / rho;
+  const T p = fmax(T(gamma - 1.0) * (en - T(0.5) * rho * (u * u + v * v)), T(pres_floor));
+  PrimState<T> out;
+  out.rho = rho;
+  out.un = xdir ? u : v;
+  out.ut = xdir ? v : u;
+  out.p = p;
+  return out;
+}
 
-/// Batched PLM pencil over raw payloads: the same operations in the same
-/// per-element order as plm_pencil<Real>, so results and counter totals are
-/// bitwise identical — but each Sub/Mul/Add streams the whole pencil through
-/// one Runtime batch call. Op-mode only (callers gate on Runtime::mode()).
+/// Batched reconstruction of `rows` pencils stored back to back in one span
+/// of cells (pencil r's cell c, guards included, at lane
+/// r * (n_interior + 2 ng) + c) into face states (pencil r's face f at lane
+/// r * (n_interior + 1) + f): plm_pencil's ops for every face of every
+/// pencil, one batch call per op. The stencil operands are copied into
+/// face-indexed spans, so no face straddles two pencils. Op-mode only.
+inline void recon_batch(const PrimState<batch::Vec>& w, PrimState<batch::Vec>& wl,
+                        PrimState<batch::Vec>& wr, std::size_t rows, int n_interior, int ng,
+                        ReconKind recon, double dens_floor, double pres_floor) {
+  using batch::Vec;
+  const std::size_t nf = static_cast<std::size_t>(n_interior) + 1;
+  const std::size_t wlen = static_cast<std::size_t>(n_interior + 2 * ng);
+  const auto minmod = [](const Vec& a, const Vec& b) {
+    return Vec::gather(a.size(), [&](std::size_t q) { return plm_minmod(a[q], b[q]); });
+  };
+  // Lane of cell f - ng of every face f (face f sits between cells f-1, f).
+  std::vector<std::size_t> base;
+  base.reserve(rows * nf);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < nf; ++f) base.push_back(r * wlen + f);
+  }
+  for (auto mem : {&PrimState<Vec>::rho, &PrimState<Vec>::un, &PrimState<Vec>::ut,
+                   &PrimState<Vec>::p}) {
+    const Vec& m = w.*mem;
+    const auto cell = [&](int off) {
+      const auto o = static_cast<std::size_t>(off);
+      return Vec::gather(base.size(), [&](std::size_t q) { return m[base[q] + o]; });
+    };
+    const Vec cl = cell(ng - 1), cr = cell(ng);
+    if (recon == ReconKind::FirstOrder) {
+      wl.*mem = cl;
+      wr.*mem = cr;
+      continue;
+    }
+    const Vec dl_m = cl - cell(ng - 2), dl_p = cr - cl, dr_p = cell(ng + 1) - cr;
+    wl.*mem = cl + Vec(0.5) * minmod(dl_m, dl_p);
+    wr.*mem = cr - Vec(0.5) * minmod(dl_p, dr_p);
+  }
+  if (recon == ReconKind::PLM) {
+    // Real's fmax: a selection, so NaN yields the floor.
+    wl.rho = fmax(wl.rho, Vec(dens_floor));
+    wr.rho = fmax(wr.rho, Vec(dens_floor));
+    wl.p = fmax(wl.p, Vec(pres_floor));
+    wr.p = fmax(wr.p, Vec(pres_floor));
+  }
+}
+
+/// One PLM pencil of Reals through recon_batch: the same results and
+/// counter totals as plm_pencil<Real>, one batch call per op.
 inline void plm_pencil_batch(const std::vector<PrimState<Real>>& w,
                              std::vector<PrimState<Real>>& wl, std::vector<PrimState<Real>>& wr,
-                             int n_interior, int ng, double dens_floor, double pres_floor,
-                             PlmBatchScratch& s) {
-  auto& R = rt::Runtime::instance();
-  const std::size_t len = static_cast<std::size_t>(n_interior) + 1;
-  const std::size_t wlen = static_cast<std::size_t>(n_interior) + 2 * ng;
-  s.m.resize(wlen);
-  for (auto* v : {&s.dlm, &s.dlp, &s.drp, &s.sl, &s.sr, &s.t, &s.rl, &s.rr}) v->resize(len);
-  // The 0.5 operand vector only ever holds 0.5: refill on growth, not per
-  // call (the scratch is reused across every pencil of a solve).
-  if (s.half.size() < len) s.half.assign(len, 0.5);
-
-  constexpr Real PrimState<Real>::* kMembers[4] = {&PrimState<Real>::rho, &PrimState<Real>::un,
-                                                   &PrimState<Real>::ut, &PrimState<Real>::p};
-  const auto minmod_raw = [](double a, double b) {
-    if (a * b <= 0.0) return 0.0;
-    return std::fabs(a) < std::fabs(b) ? a : b;
+                             int n_interior, int ng, double dens_floor, double pres_floor) {
+  using batch::Vec;
+  const auto load = [&](Real PrimState<Real>::* mem) {
+    return Vec::gather(w.size(), [&](std::size_t c) { return (w[c].*mem).raw(); });
   };
-  for (int mi = 0; mi < 4; ++mi) {
-    const auto mem = kMembers[mi];
-    for (std::size_t c = 0; c < wlen; ++c) s.m[c] = (w[c].*mem).raw();
-    // Interface slices into the gathered pencil: cl[f] = cell f-1, etc.
-    const double* cll = s.m.data() + ng - 2;
-    const double* cl = s.m.data() + ng - 1;
-    const double* cr = s.m.data() + ng;
-    const double* crr = s.m.data() + ng + 1;
-    R.op2_batch(rt::OpKind::Sub, cl, cll, s.dlm.data(), len);
-    R.op2_batch(rt::OpKind::Sub, cr, cl, s.dlp.data(), len);
-    R.op2_batch(rt::OpKind::Sub, crr, cr, s.drp.data(), len);
-    for (std::size_t f = 0; f < len; ++f) {
-      s.sl[f] = minmod_raw(s.dlm[f], s.dlp[f]);
-      s.sr[f] = minmod_raw(s.dlp[f], s.drp[f]);
-    }
-    R.op2_batch(rt::OpKind::Mul, s.half.data(), s.sl.data(), s.t.data(), len);
-    R.op2_batch(rt::OpKind::Add, cl, s.t.data(), s.rl.data(), len);
-    R.op2_batch(rt::OpKind::Mul, s.half.data(), s.sr.data(), s.t.data(), len);
-    R.op2_batch(rt::OpKind::Sub, cr, s.t.data(), s.rr.data(), len);
-    // Floors are selections (no runtime ops), applied exactly as the scalar
-    // fmax(x, floor): NaN compares false and yields the floor.
-    const bool floored = mi == 0 || mi == 3;
-    const double floor = mi == 0 ? dens_floor : pres_floor;
-    for (std::size_t f = 0; f < len; ++f) {
-      double l = s.rl[f], r = s.rr[f];
-      if (floored) {
-        l = l >= floor ? l : floor;
-        r = r >= floor ? r : floor;
-      }
-      wl[f].*mem = Real::adopt_raw(l);
-      wr[f].*mem = Real::adopt_raw(r);
-    }
+  const PrimState<Vec> wv{load(&PrimState<Real>::rho), load(&PrimState<Real>::un),
+                          load(&PrimState<Real>::ut), load(&PrimState<Real>::p)};
+  PrimState<Vec> l, r;
+  recon_batch(wv, l, r, 1, n_interior, ng, ReconKind::PLM, dens_floor, pres_floor);
+  for (int f = 0; f <= n_interior; ++f) {
+    const auto q = static_cast<std::size_t>(f);
+    wl[f] = {Real::adopt_raw(l.rho[q]), Real::adopt_raw(l.un[q]), Real::adopt_raw(l.ut[q]),
+             Real::adopt_raw(l.p[q])};
+    wr[f] = {Real::adopt_raw(r.rho[q]), Real::adopt_raw(r.un[q]), Real::adopt_raw(r.ut[q]),
+             Real::adopt_raw(r.p[q])};
   }
 }
 
@@ -261,14 +294,11 @@ class HydroSolver {
       std::vector<PrimState<T>> w(n_interior + 2 * ng);
       std::vector<PrimState<T>> wl(n_interior + 1), wr(n_interior + 1);
       std::vector<Flux<T>> fx(n_interior + 1);
-      PlmBatchScratch plm_scratch;
-      UpdateBatchScratch upd_scratch;
 
 #pragma omp for schedule(dynamic)
       for (int n = 0; n < g.num_leaves(); ++n) {
         auto& b = g.leaf(n);
         const double h = xdir ? g.dx(b.level) : g.dy(b.level);
-        const T dtdx = T(dt / h);
 
         // Scoped truncation with the per-level gate; region labelling makes
         // this whole solver one "hydro" module with three sub-stages.
@@ -276,6 +306,13 @@ class HydroSolver {
         if (cfg_.trunc) scope.emplace(*cfg_.trunc, cfg_.trunc_enabled(b.level));
         Region hydro_region("hydro");
 
+        if constexpr (std::is_same_v<T, Real>) {
+          if (use_batch) {
+            sweep_block_batch(g, b, xdir, dt / h);
+            continue;
+          }
+        }
+        const T dtdx = T(dt / h);
         for (int row = 0; row < n_rows; ++row) {
           // Load primitives along the pencil (includes guards).
           for (int k = -ng; k < n_interior + ng; ++k) {
@@ -285,17 +322,7 @@ class HydroSolver {
           }
           {
             Region r("hydro/recon");
-            if constexpr (std::is_same_v<T, Real>) {
-              if (use_batch && cfg_.recon == ReconKind::PLM) {
-                plm_pencil_batch(w, wl, wr, n_interior, ng, cfg_.dens_floor, cfg_.pres_floor,
-                                 plm_scratch);
-              } else {
-                plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor,
-                           cfg_.pres_floor);
-              }
-            } else {
-              plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor, cfg_.pres_floor);
-            }
+            plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor, cfg_.pres_floor);
           }
           {
             Region r("hydro/riemann");
@@ -305,19 +332,10 @@ class HydroSolver {
           }
           {
             Region r("hydro/update");
-            bool updated = false;
-            if constexpr (std::is_same_v<T, Real>) {
-              if (use_batch) {
-                update_row_batch(g, b, row, xdir, dtdx, fx, n_interior, upd_scratch);
-                updated = true;
-              }
-            }
-            if (!updated) {
-              for (int k = 0; k < n_interior; ++k) {
-                const int i = xdir ? k : row;
-                const int j = xdir ? row : k;
-                apply_update(g, b, i, j, xdir, dtdx, fx[k], fx[k + 1]);
-              }
+            for (int k = 0; k < n_interior; ++k) {
+              const int i = xdir ? k : row;
+              const int j = xdir ? row : k;
+              apply_update(g, b, i, j, xdir, dtdx, fx[k], fx[k + 1]);
             }
           }
           rt::Runtime::instance().count_mem(static_cast<u64>(n_interior) * kNumVars * 2 *
@@ -329,60 +347,76 @@ class HydroSolver {
 
   PrimState<T> load_prim(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int i, int j,
                          bool xdir) const {
-    using std::fmax;
-    const T rho = fmax(g.at(b, DENS, i, j), T(cfg_.dens_floor));
-    const T mx = g.at(b, MOMX, i, j);
-    const T my = g.at(b, MOMY, i, j);
-    const T en = g.at(b, ENER, i, j);
-    const T u = mx / rho;
-    const T v = my / rho;
-    const T p = fmax(T(cfg_.gamma - 1.0) * (en - T(0.5) * rho * (u * u + v * v)),
-                     T(cfg_.pres_floor));
-    PrimState<T> out;
-    out.rho = rho;
-    out.un = xdir ? u : v;
-    out.ut = xdir ? v : u;
-    out.p = p;
-    return out;
+    return prim_from_cons(g.at(b, DENS, i, j), g.at(b, MOMX, i, j), g.at(b, MOMY, i, j),
+                          g.at(b, ENER, i, j), xdir, cfg_.gamma, cfg_.dens_floor,
+                          cfg_.pres_floor);
   }
 
-  /// Batched flux-difference update of one row: the same Sub/Mul/Add per
-  /// cell and variable as apply_update, streamed per-variable through the
-  /// batch dispatch. Only instantiated for T = Real (guarded by if constexpr
-  /// at the call site).
-  struct UpdateBatchScratch {
-    std::vector<double> fv, u, d, t, dtdx_v;
-  };
-
-  void update_row_batch(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int row,
-                        bool xdir, const T& dtdx, const std::vector<Flux<T>>& fx, int n_interior,
-                        UpdateBatchScratch& s) const {
-    auto& R = rt::Runtime::instance();
-    const std::size_t n = static_cast<std::size_t>(n_interior);
-    const int mom_n = xdir ? MOMX : MOMY;
-    const int mom_t = xdir ? MOMY : MOMX;
-    const int vars[4] = {DENS, mom_n, mom_t, ENER};
-    s.fv.resize(n + 1);
-    s.u.resize(n);
-    s.d.resize(n);
-    s.t.resize(n);
-    s.dtdx_v.assign(n, dtdx.raw());
-    for (int v = 0; v < 4; ++v) {
-      for (std::size_t k = 0; k <= n; ++k) s.fv[k] = fx[k].f[v].raw();
-      for (std::size_t k = 0; k < n; ++k) {
-        const int i = xdir ? static_cast<int>(k) : row;
-        const int j = xdir ? row : static_cast<int>(k);
-        s.u[k] = g.at(b, vars[v], i, j).raw();
-      }
-      R.op2_batch(rt::OpKind::Sub, s.fv.data(), s.fv.data() + 1, s.d.data(), n);
-      R.op2_batch(rt::OpKind::Mul, s.dtdx_v.data(), s.d.data(), s.t.data(), n);
-      R.op2_batch(rt::OpKind::Add, s.u.data(), s.t.data(), s.u.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const int i = xdir ? static_cast<int>(k) : row;
-        const int j = xdir ? row : static_cast<int>(k);
-        g.at(b, vars[v], i, j) = Real::adopt_raw(s.u[k]);
+  /// The op-mode sweep of one block through the batch entry points
+  /// (DESIGN.md §8): the per-pencil loop's load, recon, Riemann and update
+  /// ops for all pencils of the block at once, one batch call per op, each
+  /// stage entering its region once per block. A sweep's pencils are
+  /// disjoint (the x sweep of row j reads and writes only row j), so loading
+  /// every pencil before any update reads exactly what the loop reads.
+  /// Only instantiated for T = Real (guarded by if constexpr at the call
+  /// site).
+  void sweep_block_batch(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, bool xdir,
+                         double dtdx) const {
+    using batch::Vec;
+    const int n = xdir ? g.config().nxb : g.config().nyb;  // interior cells per pencil
+    const std::size_t rows = static_cast<std::size_t>(xdir ? g.config().nyb : g.config().nxb);
+    const int ng = g.config().ng;
+    const std::size_t nc = static_cast<std::size_t>(n), nf = nc + 1, wlen = nc + 2 * ng;
+    // Grid (i, j) of every lane: all cells of the block's pencils, guards
+    // included, then the interior cells alone with their left face lanes.
+    std::vector<std::pair<int, int>> cells, interior;
+    std::vector<std::size_t> left_face;
+    cells.reserve(rows * wlen);
+    interior.reserve(rows * nc);
+    left_face.reserve(rows * nc);
+    for (int row = 0; row < static_cast<int>(rows); ++row) {
+      for (int k = -ng; k < n + ng; ++k) {
+        cells.push_back(xdir ? std::pair{k, row} : std::pair{row, k});
+        if (k < 0 || k >= n) continue;
+        interior.push_back(cells.back());
+        left_face.push_back(static_cast<std::size_t>(row) * nf + static_cast<std::size_t>(k));
       }
     }
+    const auto load = [&](int var, const std::vector<std::pair<int, int>>& at) {
+      return Vec::gather(at.size(),
+                         [&](std::size_t q) { return g.at(b, var, at[q].first, at[q].second).raw(); });
+    };
+    const PrimState<Vec> w =
+        prim_from_cons(load(DENS, cells), load(MOMX, cells), load(MOMY, cells), load(ENER, cells),
+                       xdir, cfg_.gamma, cfg_.dens_floor, cfg_.pres_floor);
+    PrimState<Vec> wl, wr;
+    {
+      Region r("hydro/recon");
+      recon_batch(w, wl, wr, rows, n, ng, cfg_.recon, cfg_.dens_floor, cfg_.pres_floor);
+    }
+    Flux<Vec> fx;
+    {
+      Region r("hydro/riemann");
+      fx = riemann_flux_batch(cfg_.riemann, wl, wr, cfg_.gamma);
+    }
+    {
+      Region r("hydro/update");
+      const std::size_t m = interior.size();
+      const Vec dt_dx = Vec::gather(m, [&](std::size_t) { return dtdx; });
+      // Flux components are in the sweep frame [rho, mom_n, mom_t, E].
+      const int vars[4] = {DENS, xdir ? MOMX : MOMY, xdir ? MOMY : MOMX, ENER};
+      for (int v = 0; v < 4; ++v) {
+        const auto face = [&](std::size_t d) {
+          return Vec::gather(m, [&](std::size_t q) { return fx.f[v][left_face[q] + d]; });
+        };
+        const Vec u = load(vars[v], interior) + dt_dx * (face(0) - face(1));
+        for (std::size_t q = 0; q < m; ++q) {
+          g.at(b, vars[v], interior[q].first, interior[q].second) = Real::adopt_raw(u[q]);
+        }
+      }
+    }
+    rt::Runtime::instance().count_mem(static_cast<u64>(rows * nc) * kNumVars * 2 *
+                                      sizeof(double));
   }
 
   void apply_update(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int i, int j,

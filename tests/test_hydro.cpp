@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-
 #include <cmath>
+#include <limits>
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "hydro/euler.hpp"
 #include "hydro/exact_riemann.hpp"
@@ -293,44 +298,301 @@ TEST(HydroGravity, OperatorSplitSourceMatchesAnalyticImpulse) {
 }
 
 // ---------------------------------------------------------------------------
+// Batched Riemann kernel
+// ---------------------------------------------------------------------------
+
+using batch::Vec;
+
+/// Crafted faces that reach every branch of the three solvers (checked by
+/// BatchedRiemann.CraftedFacesReachEveryBranch), padded with pseudo-random
+/// smooth faces to a span length that is not a multiple of any SIMD width.
+std::vector<std::pair<PrimState<double>, PrimState<double>>> crafted_faces() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<PrimState<double>, PrimState<double>>> f = {
+      {{1.0, 5.0, 0.1, 1.0}, {0.9, 5.2, -0.1, 0.8}},     // supersonic right: sl >= 0
+      {{1.0, -5.0, 0.1, 1.0}, {0.9, -5.2, -0.1, 0.8}},   // supersonic left: sr <= 0
+      {{1.0, 0.4, 0.2, 1.0}, {0.5, 0.3, -0.2, 0.4}},     // S* > 0
+      {{0.5, -0.3, 0.2, 0.4}, {1.0, -0.4, -0.2, 1.0}},   // S* < 0
+      {{1.0, 0.0, 0.0, 1.0}, {1.0, 0.0, 0.0, 1.0}},      // S* = -0 (goes left)
+      {{-1.0, 0.0, 0.0, -1.0}, {-1.0, 0.0, 0.0, -1.0}},  // S* = +0 (rho, p < 0)
+      {{1.0, 0.2, 0.0, 1.0}, {nan, 0.1, 0.0, 1.0}},      // NaN wave speeds: fan, S* NaN
+      {{1.0, -0.4, 0.3, 1.0}, {1.0, -0.7, 0.1, 1.2}},    // un < 0 on both sides
+      {{1.0, -0.0, 0.0, 1.0}, {1.0, 0.0, 0.0, 1.0}},     // un = -0: no Neg
+      {{1.0, nan, 0.0, 1.0}, {1.0, 0.1, 0.0, 1.0}},      // un NaN: no Neg
+      // gamma * p / rho = 1 exactly (in every format), so c = 1:
+      {{1.4, 1.0, 0.0, 1.0}, {1.4, 2.0, 0.0, 1.0}},      // sl = +0 exactly: F_L
+      {{1.4, -2.0, 0.0, 1.0}, {1.4, -1.0, 0.0, 1.0}},    // sr = +0 exactly: F_R
+  };
+  u64 state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;  // [0, 1)
+  };
+  while (f.size() < 53) {
+    const auto side = [&] {
+      return PrimState<double>{0.2 + next(), 2.0 * next() - 1.0, next() - 0.5, 0.1 + next()};
+    };
+    f.emplace_back(side(), side());
+  }
+  return f;
+}
+
+TEST(BatchedRiemann, CraftedFacesReachEveryBranch) {
+  // The crafted set must keep reaching what it is there for; classified
+  // with untruncated Real so NaNs follow Real's fmin/fmax rule.
+  rt::Runtime::instance().reset_all();
+  int left = 0, right = 0, nan_speed = 0, pos = 0, neg = 0, pzero = 0, nzero = 0, neg_un = 0;
+  int sl_zero = 0, sr_zero = 0;
+  for (const auto& [l, r] : crafted_faces()) {
+    const PrimState<Real> wl{l.rho, l.un, l.ut, l.p}, wr{r.rho, r.un, r.ut, r.p};
+    Real sl, sr;
+    detail::wave_speeds(wl, wr, kGamma, sl, sr);
+    if (l.un < 0 || r.un < 0) ++neg_un;
+    if (std::isnan(sl.value()) || std::isnan(sr.value())) ++nan_speed;
+    if (sl.value() == 0.0) ++sl_zero;
+    if (sr.value() == 0.0) ++sr_zero;
+    if (sl.value() >= 0.0) {
+      ++left;
+      continue;
+    }
+    if (sr.value() <= 0.0) {
+      ++right;
+      continue;
+    }
+    const double s = detail::hllc_sstar(wl, wr, sl, sr).value();
+    if (s > 0) ++pos;
+    if (s < 0) ++neg;
+    if (s == 0 && !std::signbit(s)) ++pzero;
+    if (s == 0 && std::signbit(s)) ++nzero;
+  }
+  EXPECT_GT(left, 0);
+  EXPECT_GT(right, 0);
+  EXPECT_GT(nan_speed, 0);
+  EXPECT_GT(pos, 0);
+  EXPECT_GT(neg, 0);
+  EXPECT_GT(pzero, 0);
+  EXPECT_GT(nzero, 0);
+  EXPECT_GT(neg_un, 0);
+  EXPECT_GT(sl_zero, 0);
+  EXPECT_GT(sr_zero, 0);
+  rt::Runtime::instance().reset_all();
+}
+
+TEST(BatchedRiemann, BitwiseAndCountParityWithScalarPerFace) {
+  // riemann_flux_batch over a span of faces against riemann_flux<Real> per
+  // face: every flux component bitwise, and the per-OpKind counters, for
+  // every solver at e8m12 (fast kernels), e11m30 (BigFloat) and untruncated.
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  const auto faces = crafted_faces();
+  const auto gather = [&faces](bool right, double PrimState<double>::* m) {
+    return Vec::gather(faces.size(),
+                       [&](std::size_t i) { return (right ? faces[i].second : faces[i].first).*m; });
+  };
+  const auto states = [&gather](bool right) {
+    return PrimState<Vec>{gather(right, &PrimState<double>::rho),
+                          gather(right, &PrimState<double>::un),
+                          gather(right, &PrimState<double>::ut),
+                          gather(right, &PrimState<double>::p)};
+  };
+  const PrimState<Vec> wl = states(false), wr = states(true);
+  const std::vector<std::optional<rt::TruncationSpec>> formats = {
+      rt::TruncationSpec::trunc64(8, 12), rt::TruncationSpec::trunc64(11, 30), std::nullopt};
+  for (const RiemannKind kind : {RiemannKind::Rusanov, RiemannKind::HLL, RiemannKind::HLLC}) {
+    for (const auto& fmt : formats) {
+      SCOPED_TRACE("riemann=" + std::to_string(static_cast<int>(kind)) + " " +
+                   (fmt ? fmt->for64->to_string() : std::string("untruncated")));
+      std::optional<TruncScope> scope;
+      if (fmt) scope.emplace(*fmt);
+      R.reset_counters();
+      std::vector<Flux<Real>> want;
+      for (const auto& [l, r] : faces) {
+        want.push_back(riemann_flux(kind, PrimState<Real>{l.rho, l.un, l.ut, l.p},
+                                    PrimState<Real>{r.rho, r.un, r.ut, r.p}, kGamma));
+      }
+      const rt::CounterSnapshot scalar = R.counters();
+      R.reset_counters();
+      const Flux<Vec> got = riemann_flux_batch(kind, wl, wr, kGamma);
+      const rt::CounterSnapshot batched = R.counters();
+      for (int k = 0; k < 4; ++k) {
+        ASSERT_EQ(got.f[k].size(), faces.size());
+        for (std::size_t i = 0; i < faces.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<u64>(got.f[k][i]), std::bit_cast<u64>(want[i].f[k].raw()))
+              << "face " << i << " component " << k;
+        }
+      }
+      EXPECT_GT(scalar.total_flops(), 0u);
+      EXPECT_EQ(scalar.trunc_by_kind, batched.trunc_by_kind);
+      EXPECT_EQ(scalar.full_by_kind, batched.full_by_kind);
+      EXPECT_EQ(scalar.trunc_flops, batched.trunc_flops);
+      EXPECT_EQ(scalar.full_flops, batched.full_flops);
+    }
+  }
+  R.reset_all();
+}
+
+TEST(BatchedRecon, MultiPencilSpanMatchesScalarPencils) {
+  // recon_batch over three pencils stored back to back against
+  // plm_pencil<Real> per pencil: bitwise face states and equal per-OpKind
+  // counters, with NaNs, -0 and values below the floors in the data (the
+  // floors are Real's fmax: NaN yields the floor). Both reconstructions.
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  constexpr int n = 7, ng = 2, rows = 3, wlen = n + 2 * ng;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double dfloor = 1e-3, pfloor = 1e-4;
+  std::vector<std::vector<PrimState<Real>>> pencils(rows, std::vector<PrimState<Real>>(wlen));
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < wlen; ++c) {
+      const double x = 0.37 * (c + 3 * r);
+      pencils[r][c] = {1.0 + 0.9 * std::sin(x), 0.5 * std::cos(1.3 * x), -0.0,
+                       1.0 + std::sin(2.1 * x)};
+    }
+  }
+  pencils[0][4].p = nan;
+  pencils[1][5].rho = nan;
+  pencils[1][2].un = nan;
+  pencils[2][6].rho = -0.5;
+  pencils[2][3].p = -1e-9;
+  TruncScope sc(8, 12);
+  for (const ReconKind recon : {ReconKind::PLM, ReconKind::FirstOrder}) {
+    SCOPED_TRACE(recon == ReconKind::PLM ? "plm" : "first-order");
+    R.reset_counters();
+    std::vector<PrimState<Real>> want_l, want_r;
+    for (const auto& w : pencils) {
+      std::vector<PrimState<Real>> wl(n + 1), wr(n + 1);
+      plm_pencil(w, wl, wr, n, ng, recon, dfloor, pfloor);
+      want_l.insert(want_l.end(), wl.begin(), wl.end());
+      want_r.insert(want_r.end(), wr.begin(), wr.end());
+    }
+    const rt::CounterSnapshot scalar = R.counters();
+    R.reset_counters();
+    const auto lanes = [&pencils](Real PrimState<Real>::* m) {
+      return Vec::gather(rows * wlen,
+                         [&](std::size_t q) { return (pencils[q / wlen][q % wlen].*m).raw(); });
+    };
+    const PrimState<Vec> w{lanes(&PrimState<Real>::rho), lanes(&PrimState<Real>::un),
+                           lanes(&PrimState<Real>::ut), lanes(&PrimState<Real>::p)};
+    PrimState<Vec> gl, gr;
+    recon_batch(w, gl, gr, rows, n, ng, recon, dfloor, pfloor);
+    const rt::CounterSnapshot batched = R.counters();
+    EXPECT_EQ(scalar.trunc_by_kind, batched.trunc_by_kind);
+    EXPECT_EQ(scalar.full_by_kind, batched.full_by_kind);
+    const auto bits = [](double d) { return std::bit_cast<u64>(d); };
+    ASSERT_EQ(gl.rho.size(), want_l.size());
+    for (std::size_t f = 0; f < want_l.size(); ++f) {
+      EXPECT_EQ(bits(gl.rho[f]), bits(want_l[f].rho.raw())) << f;
+      EXPECT_EQ(bits(gl.un[f]), bits(want_l[f].un.raw())) << f;
+      EXPECT_EQ(bits(gl.ut[f]), bits(want_l[f].ut.raw())) << f;
+      EXPECT_EQ(bits(gl.p[f]), bits(want_l[f].p.raw())) << f;
+      EXPECT_EQ(bits(gr.rho[f]), bits(want_r[f].rho.raw())) << f;
+      EXPECT_EQ(bits(gr.un[f]), bits(want_r[f].un.raw())) << f;
+      EXPECT_EQ(bits(gr.ut[f]), bits(want_r[f].ut.raw())) << f;
+      EXPECT_EQ(bits(gr.p[f]), bits(want_r[f].p.raw())) << f;
+    }
+  }
+  R.reset_all();
+}
+
+// ---------------------------------------------------------------------------
 // Truncation scoping through the solver
 // ---------------------------------------------------------------------------
 
 TEST(HydroTruncation, BatchedSolverBitwiseMatchesScalarSolver) {
-  // The batched recon/update pencils (DESIGN.md §8) must be bit-identical
-  // to the scalar per-op dispatch through a full multi-step AMR run — same
-  // cell values AND same counter totals (flops + per-OpKind histogram).
-  rt::Runtime::instance().reset_all();
-  const SodParams sp;
-  const auto run_with = [&sp](bool batch) {
-    rt::Runtime::instance().reset_counters();
-    auto cfg = sod_grid_config(2);
-    amr::AmrGrid<Real> grid(cfg);
-    grid.build_with_ic(
-        [&sp](double x, double y, std::span<Real> v) { sod_init(sp, x, y, v); });
+  // The block-level batched sweep (DESIGN.md §8) must be bit-identical to
+  // the scalar per-pencil dispatch through full multi-step AMR runs — same
+  // cell values, the same counter totals (flops + per-OpKind histogram),
+  // and per region label the same counters and bytes, so no op migrates
+  // between the load ("hydro"), recon, Riemann and update stages. Sod
+  // (level 2, to t = 0.05) and Sedov (level 3, 8 steps, two regrids), every
+  // Riemann solver; Sod also with first-order reconstruction.
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  R.set_region_profiling(true);
+  struct Case {
+    bool sedov;
+    RiemannKind riemann;
+    ReconKind recon;
+  };
+  std::vector<Case> cases;
+  for (const RiemannKind k : {RiemannKind::Rusanov, RiemannKind::HLL, RiemannKind::HLLC}) {
+    cases.push_back({false, k, ReconKind::PLM});
+    cases.push_back({true, k, ReconKind::PLM});
+  }
+  cases.push_back({false, RiemannKind::HLLC, ReconKind::FirstOrder});
+  const auto run_with = [&R](const Case& c, bool batch) {
+    R.reset_counters();
+    R.reset_region_profiles();
     HydroConfig hc;
     hc.trunc = rt::TruncationSpec::trunc64(8, 12);
+    hc.riemann = c.riemann;
+    hc.recon = c.recon;
     hc.batch = batch;
     HydroSolver<Real> solver(hc);
-    run_to_time(grid, solver, 0.05, /*regrid_interval=*/4);
-    auto fields = io::to_uniform(grid, DENS);
-    const auto momx = io::to_uniform(grid, MOMX);
-    const auto ener = io::to_uniform(grid, ENER);
-    fields.insert(fields.end(), momx.begin(), momx.end());
-    fields.insert(fields.end(), ener.begin(), ener.end());
-    return std::pair{fields, rt::Runtime::instance().counters()};
+    std::vector<double> fields;
+    const auto collect = [&fields](const amr::AmrGrid<Real>& grid) {
+      for (const int v : {DENS, MOMX, MOMY, ENER}) {
+        const auto f = io::to_uniform(grid, v);
+        fields.insert(fields.end(), f.begin(), f.end());
+      }
+    };
+    if (c.sedov) {
+      const SedovParams sp;
+      amr::AmrGrid<Real> grid(sedov_grid_config(3));
+      grid.build_with_ic(
+          [&sp](double x, double y, std::span<Real> v) { sedov_init(sp, x, y, v); });
+      const double dt = 0.5 * solver.compute_dt(grid);
+      for (int s = 0; s < 8; ++s) {
+        if (s > 0 && s % 3 == 0) grid.regrid();
+        solver.step(grid, dt);
+      }
+      collect(grid);
+    } else {
+      const SodParams sp;
+      amr::AmrGrid<Real> grid(sod_grid_config(2));
+      grid.build_with_ic(
+          [&sp](double x, double y, std::span<Real> v) { sod_init(sp, x, y, v); });
+      run_to_time(grid, solver, 0.05, /*regrid_interval=*/4);
+      collect(grid);
+    }
+    std::map<std::string, rt::CounterSnapshot> stages;
+    for (const auto& e : R.region_profiles()) {
+      if (e.label == "hydro" || e.label.rfind("hydro/", 0) == 0) stages[e.label] = e.profile.counters;
+    }
+    return std::tuple{fields, R.counters(), stages};
   };
-  const auto [scalar, sc] = run_with(false);
-  const auto [batched, bc] = run_with(true);
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batched[i])) << "cell " << i;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.sedov ? "sedov" : "sod") + " riemann=" +
+                 std::to_string(static_cast<int>(c.riemann)) +
+                 (c.recon == ReconKind::PLM ? " plm" : " first-order"));
+    const auto [scalar, sc, s_stages] = run_with(c, false);
+    const auto [batched, bc, b_stages] = run_with(c, true);
+    ASSERT_EQ(scalar.size(), batched.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batched[i])) << "cell " << i;
+    }
+    EXPECT_EQ(sc.trunc_flops, bc.trunc_flops);
+    EXPECT_EQ(sc.full_flops, bc.full_flops);
+    EXPECT_EQ(sc.trunc_by_kind, bc.trunc_by_kind);
+    EXPECT_EQ(sc.full_by_kind, bc.full_by_kind);
+    EXPECT_EQ(sc.trunc_bytes, bc.trunc_bytes);
+    EXPECT_EQ(sc.full_bytes, bc.full_bytes);
+    for (const char* label : {"hydro", "hydro/recon", "hydro/riemann", "hydro/update"}) {
+      SCOPED_TRACE(label);
+      ASSERT_TRUE(s_stages.count(label) && b_stages.count(label));
+      const auto& a = s_stages.at(label);
+      const auto& b = b_stages.at(label);
+      // First-order reconstruction copies cell states: no recon ops.
+      const bool copies = c.recon == ReconKind::FirstOrder && label == std::string("hydro/recon");
+      EXPECT_EQ(a.total_flops() > 0, !copies);
+      EXPECT_EQ(a.trunc_by_kind, b.trunc_by_kind);
+      EXPECT_EQ(a.full_by_kind, b.full_by_kind);
+      EXPECT_EQ(a.trunc_bytes, b.trunc_bytes);
+      EXPECT_EQ(a.full_bytes, b.full_bytes);
+    }
+    EXPECT_EQ(s_stages.size(), b_stages.size());
   }
-  EXPECT_EQ(sc.trunc_flops, bc.trunc_flops);
-  EXPECT_EQ(sc.full_flops, bc.full_flops);
-  EXPECT_EQ(sc.trunc_by_kind, bc.trunc_by_kind);
-  EXPECT_EQ(sc.full_by_kind, bc.full_by_kind);
-  rt::Runtime::instance().reset_all();
+  R.reset_all();
 }
 
 TEST(HydroTruncation, TruncatedRunDegradesGracefully) {

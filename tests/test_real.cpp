@@ -3,13 +3,16 @@
 // scoped, counting, and the C API op shims.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "runtime/runtime.hpp"
 #include "trunc/capi.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor {
 namespace {
@@ -54,6 +57,45 @@ TEST_F(RealTest, MinMaxAbsHelpers) {
   EXPECT_DOUBLE_EQ(fabs(Real(2.5)).value(), 2.5);
   EXPECT_DOUBLE_EQ(fmin(Real(1.0), Real(2.0)).value(), 1.0);
   EXPECT_DOUBLE_EQ(fmax(Real(1.0), Real(2.0)).value(), 2.0);
+}
+
+TEST_F(RealTest, BatchVecMathMatchesRealLaneByLane) {
+  // batch::Vec's sqrt/fabs/fmin/fmax mirror Real's free functions lane by
+  // lane: the same results bitwise and the same op counts — fabs is a Neg
+  // only on negative lanes (not -0, not NaN); fmin/fmax are selections with
+  // Real's NaN rule (a NaN first operand yields the second).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> xa = {1.5, -2.25, 0.0, -0.0, nan, 3.0, -1e-3, 7.0, nan, -4.0};
+  const std::vector<double> xb = {-1.0, -2.5, -0.0, 0.0, 2.0, nan, -1e-3, 0.5, nan, 9.0};
+  const batch::Vec va = batch::Vec::gather(xa.size(), [&](std::size_t i) { return xa[i]; });
+  const batch::Vec vb = batch::Vec::gather(xb.size(), [&](std::size_t i) { return xb[i]; });
+  const auto bits = [](double d) { return std::bit_cast<u64>(d); };
+  TruncScope sc(8, 12);
+  for (int fn = 0; fn < 4; ++fn) {
+    SCOPED_TRACE(fn);
+    R.reset_counters();
+    std::vector<double> want;
+    for (std::size_t i = 0; i < xa.size(); ++i) {
+      const Real a = xa[i], b = xb[i];
+      const Real r = fn == 0 ? sqrt(a) : fn == 1 ? fabs(a) : fn == 2 ? fmin(a, b) : fmax(a, b);
+      want.push_back(r.raw());
+    }
+    const rt::CounterSnapshot scalar = R.counters();
+    R.reset_counters();
+    const batch::Vec got = fn == 0   ? sqrt(va)
+                           : fn == 1 ? fabs(va)
+                           : fn == 2 ? fmin(va, vb)
+                                     : fmax(va, vb);
+    const rt::CounterSnapshot batched = R.counters();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(bits(got[i]), bits(want[i])) << i;
+    EXPECT_EQ(scalar.trunc_by_kind, batched.trunc_by_kind);
+    EXPECT_EQ(scalar.full_by_kind, batched.full_by_kind);
+  }
+  // fabs negated exactly the three negative lanes.
+  R.reset_counters();
+  (void)fabs(va);
+  EXPECT_EQ(R.counters().trunc_by_kind[static_cast<int>(rt::OpKind::Neg)], 3u);
 }
 
 TEST_F(RealTest, EveryOperationIsCounted) {
