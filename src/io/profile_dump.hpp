@@ -9,13 +9,11 @@
 // RFC 4180 — the same implementations the telemetry exposition layer uses,
 // so a label round-trips identically through every serializer). Non-finite
 // numbers have no JSON literal — mem-mode max_deviation can legitimately be
-// +inf (one-sided NaN divergence) — so they are emitted as the strings
-// "inf" / "-inf" / "nan".
+// +inf (one-sided NaN divergence) — so the shared json_number() emits them
+// as the strings "inf" / "-inf" / "nan".
 #pragma once
 
-#include <cmath>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,16 +26,7 @@ namespace raptor::io {
 
 using raptor::csv_field;
 using raptor::json_escape;
-
-/// JSON representation of a double: the numeric literal when finite, a
-/// quoted string otherwise (JSON has no inf/nan literals).
-[[nodiscard]] inline std::string json_number(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
+using raptor::json_number;
 
 inline void write_region_profiles_csv(const std::string& path,
                                       const std::vector<rt::RegionProfileEntry>& entries) {

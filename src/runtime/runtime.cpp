@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string_view>
 #include <tuple>
 
 #include "softfloat/fast_round.hpp"
@@ -40,68 +43,118 @@ struct Runtime::ThreadState {
     TruncationSpec spec;
     bool enabled = true;
   };
+  /// One open region: its slot plus the exclusion and format override in
+  /// force, inherited from the enclosing frame unless the slot has its own.
+  /// Both are decided at region entry; `region_format` points into the slot
+  /// that supplied the override (nullptr = none).
   struct RegionFrame {
-    const char* label = "";
-    bool excluded = false;
-    /// Format override bound to this region label (or inherited from the
-    /// enclosing region), resolved once at region entry like `excluded`.
-    bool has_override = false;
-    TruncationSpec override_spec;
+    RegionSlot* slot;
+    bool excluded;
+    const TruncationSpec* region_format;
   };
 
   /// Resolved truncation state for one operand width: what
   /// effective_format() would compute at the current scope/region/config
-  /// point. Recomputed lazily after any scope/region push/pop (local
-  /// invalidation) or global config change (epoch mismatch), so steady-state
-  /// op dispatch costs one flag test instead of a stack walk.
+  /// point, plus the fast kernels' rounding constants for it. Recomputed
+  /// lazily after any scope/region push/pop (local invalidation) or global
+  /// config change (epoch mismatch), so steady-state op dispatch costs one
+  /// flag test instead of a stack walk.
   struct TruncCache {
     bool cached = false;
     bool active = false;
     sf::Format fmt;
+    sf::RoundSpec spec{sf::Format::fp64()};
   };
 
   std::vector<ScopeFrame> scopes;
+  /// One slot per region label this thread entered (node-based: slot
+  /// pointers survive growth), and a pointer-keyed front cache over it.
+  /// A front-cache hit is only taken when the caller's text still equals
+  /// the slot's own copy, so a recycled label buffer never inherits a slot.
+  SlotTable slots;
+  std::array<std::pair<const char*, RegionSlot*>, 64> front{};
+  /// The region stack; the bottom frame is "<toplevel>", which is never
+  /// excluded or overridden.
   std::vector<RegionFrame> regions;
   TruncCache trunc_cache[3];  ///< widths 64 / 32 / 16
   u64 config_epoch = 0;
   CounterSnapshot counters;
-  /// Per-region aggregation (lazily resolved slot pointer; the map is
-  /// node-based so cached pointers survive growth). `prof_cached` is
-  /// invalidated together with the truncation cache — every op resolves its
-  /// effective format first, which syncs the epoch, so a cleared map can
-  /// never be reached through a stale pointer.
-  std::map<std::string, RegionProfile> region_profiles;
-  RegionProfile* region_prof = nullptr;
-  bool prof_cached = false;
   /// Start of the innermost region's current wall-clock interval
   /// (DESIGN.md §16). Zero = no interval open (profiling just enabled, or
   /// reset): the next region boundary stamps it without accruing. Only the
   /// owning thread reads/writes it during execution; set_region_profiling
   /// and reset_region_profiles zero it under the quiescence contract.
   std::chrono::steady_clock::time_point region_t0{};
-  /// Trace capture state (DESIGN.md §12): the thread's ring/histogram
-  /// buffer for the current tracer session, the sampling countdown, and a
-  /// cached (region slot, histogram) pair resolved like region_prof. The
-  /// session stamp re-syncs everything across trace_start/trace_stop.
+  /// Trace capture state (DESIGN.md §12): the thread's ring for the current
+  /// tracer session and the sampling countdown. The session stamp re-syncs
+  /// both across trace_start/trace_stop.
   trace::ThreadTrace* trace_buf = nullptr;
   u64 trace_session = 0;
   u64 trace_countdown = 0;
-  u32 trace_slot = 0;
-  trace::RegionHist* trace_hist = nullptr;
-  bool trace_slot_cached = false;
   /// Emulation cells of the scratch allocation strategy (Fig. 4b).
   sf::BigFloat scratch[4];
   Runtime* owner;
 
-  void invalidate_trunc_cache() {
-    for (TruncCache& c : trunc_cache) c.cached = false;
-    prof_cached = false;
-    trace_slot_cached = false;
+  /// The slot of `label`, interned on first use.
+  RegionSlot& slot_for(const char* label) {
+    auto& [key, hit] =
+        front[(reinterpret_cast<std::uintptr_t>(label) * 0x9E3779B97F4A7C15ull) >> 58];
+    if (key == label && std::strcmp(hit->label->c_str(), label) == 0) return *hit;
+    auto it = slots.find(std::string_view(label));
+    if (it == slots.end()) {
+      it = slots.try_emplace(label).first;
+      it->second.label = &it->first;
+    }
+    key = label;
+    hit = &it->second;
+    return *hit;
+  }
+  [[nodiscard]] RegionSlot& slot() const { return *regions.back().slot; }
+  /// The innermost region's profile, or nullptr when profiling is off.
+  RegionProfile* profile(bool profiling) const {
+    if (!profiling) return nullptr;
+    slot().profiled = true;
+    return &slot().profile;
   }
 
-  explicit ThreadState(Runtime* o) : owner(o) { o->register_thread(this); }
+  /// Rounding constants of the format effective_format() just resolved.
+  [[nodiscard]] const sf::RoundSpec& round_spec(int width) const {
+    return trunc_cache[width_index(width)].spec;
+  }
+
+  void invalidate_trunc_cache() {
+    for (TruncCache& c : trunc_cache) c.cached = false;
+  }
+
+  explicit ThreadState(Runtime* o) : owner(o) {
+    regions.push_back({&slot_for("<toplevel>"), false, nullptr});
+    o->register_thread(this);
+  }
   ~ThreadState() { owner->retire_thread(this); }
 };
+
+void Runtime::RegionSlot::fold(const RegionSlot& s, u64 session) {
+  profile.merge(s.profile);
+  profiled = profiled || s.profiled;
+  if (!s.traced_in(session)) return;
+  if (!traced_in(session)) {
+    trace_session = session;
+    hist = {};
+  }
+  trace_id = s.trace_id;
+  hist.merge(s.hist);
+}
+
+std::vector<RegionProfileEntry> Runtime::profile_rows(const SlotTable& slots) {
+  std::vector<RegionProfileEntry> out;
+  for (const auto& [label, s] : slots) {
+    if (s.profiled) out.push_back({label, s.profile});
+  }
+  std::sort(out.begin(), out.end(), [](const RegionProfileEntry& a, const RegionProfileEntry& b) {
+    return a.profile.counters.total_flops() > b.profile.counters.total_flops();
+  });
+  return out;
+}
 
 Runtime& Runtime::instance() {
   static Runtime* r = new Runtime;  // leaked: immune to shutdown-order issues
@@ -120,20 +173,15 @@ void Runtime::register_thread(ThreadState* ts) {
 
 void Runtime::retire_thread(ThreadState* ts) {
   // Close the thread's open wall-clock interval so a worker dying inside a
-  // region doesn't silently drop that region's tail time. Owner thread, so
-  // touching its own maps is safe (no cached pointer involved).
-  if (region_profiling_ && ts->region_t0.time_since_epoch().count() != 0) {
-    const char* label = ts->regions.empty() ? "<toplevel>" : ts->regions.back().label;
-    ts->region_profiles[label].seconds += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - ts->region_t0).count();
-  }
-  // Trace flush first: merge the thread's histograms into the tracer's
-  // retired aggregate (its undrained ring events are picked up by the
-  // drainer). detach() ignores buffers from stale sessions.
-  if (ts->trace_buf != nullptr) tracer_.detach(ts->trace_buf, ts->trace_session);
+  // region doesn't silently drop that region's tail time.
+  if (region_profiling_) accrue_region_time(*ts);
+  // Fold the slots into the retired aggregate; histograms of a stale trace
+  // session are left out. Undrained ring events are picked up by the
+  // drainer, so nothing is lost on retirement.
   std::lock_guard lock(threads_mu_);
   retired_.merge(ts->counters);
-  for (const auto& [label, prof] : ts->region_profiles) retired_regions_[label].merge(prof);
+  const u64 session = tracer_.session();
+  for (const auto& [label, s] : ts->slots) retired_slots_[label].fold(s, session);
   std::erase(threads_, ts);
 }
 
@@ -231,40 +279,48 @@ void Runtime::set_region_profiling(bool on) {
     std::lock_guard lock(threads_mu_);
     for (ThreadState* ts : threads_) ts->region_t0 = {};
   }
-  // Threads re-resolve their cached profile slot on the next epoch sync.
-  config_epoch_.fetch_add(1, std::memory_order_release);
+}
+
+Runtime::SlotTable Runtime::merged_slots() const {
+  std::lock_guard lock(threads_mu_);
+  SlotTable merged = retired_slots_;
+  const u64 session = tracer_.session();
+  for (const ThreadState* ts : threads_) {
+    for (const auto& [label, s] : ts->slots) merged[label].fold(s, session);
+  }
+  return merged;
 }
 
 std::vector<RegionProfileEntry> Runtime::region_profiles() const {
-  std::map<std::string, RegionProfile> merged;
-  {
-    std::lock_guard lock(threads_mu_);
-    merged = retired_regions_;
-    for (const ThreadState* ts : threads_) {
-      for (const auto& [label, prof] : ts->region_profiles) merged[label].merge(prof);
-    }
-  }
-  std::vector<RegionProfileEntry> out;
-  out.reserve(merged.size());
-  for (auto& [label, prof] : merged) out.push_back({label, prof});
-  std::sort(out.begin(), out.end(), [](const RegionProfileEntry& a, const RegionProfileEntry& b) {
-    return a.profile.counters.total_flops() > b.profile.counters.total_flops();
-  });
-  return out;
+  return profile_rows(merged_slots());
 }
 
 void Runtime::reset_region_profiles() {
-  {
-    std::lock_guard lock(threads_mu_);
-    retired_regions_.clear();
-    for (ThreadState* ts : threads_) {
-      ts->region_profiles.clear();
-      ts->region_t0 = {};  // the open interval belongs to the discarded data
+  // Zeroed in place: slot pointers held by open frames stay valid.
+  std::lock_guard lock(threads_mu_);
+  const auto zero = [](SlotTable& slots) {
+    for (auto& [label, s] : slots) {
+      s.profile = {};
+      s.profiled = false;
     }
+  };
+  zero(retired_slots_);
+  for (ThreadState* ts : threads_) {
+    zero(ts->slots);
+    ts->region_t0 = {};  // the open interval belongs to the discarded data
   }
-  // Invalidate every thread's cached slot pointer (it aims into the cleared
-  // map); the pointer is re-resolved after the next effective_format call.
-  config_epoch_.fetch_add(1, std::memory_order_release);
+}
+
+std::vector<trace::RegionHistEntry> Runtime::trace_histograms() const {
+  const u64 session = tracer_.session();
+  std::vector<trace::RegionHistEntry> out;
+  for (const auto& [label, s] : merged_slots()) {
+    if (s.traced_in(session)) out.push_back({label, s.hist});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.hist.exp.total() > b.hist.exp.total();
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -291,44 +347,36 @@ void Runtime::push_region(const char* label) {
   // Exclusion and format overrides are decided at region entry (cheap
   // per-op reads afterwards); a region nested under an excluded one stays
   // excluded, and a region without its own override inherits the enclosing
-  // region's.
-  ThreadState::RegionFrame frame;
-  frame.label = label;
-  if (!ts.regions.empty()) {
-    frame.excluded = ts.regions.back().excluded;
-    frame.has_override = ts.regions.back().has_override;
-    if (frame.has_override) frame.override_spec = ts.regions.back().override_spec;
-  }
-  {
+  // region's. The slot keeps its label's own lookup until the config epoch
+  // moves, so config_mu_ is taken only on a label's first entry or after a
+  // configuration change.
+  RegionSlot& s = ts.slot_for(label);
+  const u64 epoch = config_epoch_.load(std::memory_order_acquire);
+  if (s.config_epoch != epoch) {
     std::lock_guard lock(config_mu_);
-    if (!frame.excluded) {
-      frame.excluded = std::find(exclusions_.begin(), exclusions_.end(), label) !=
-                       exclusions_.end();
-    }
+    s.excluded = std::find(exclusions_.begin(), exclusions_.end(), label) != exclusions_.end();
     auto it = std::find_if(region_formats_.begin(), region_formats_.end(),
                            [&](const auto& e) { return e.first == label; });
-    if (it != region_formats_.end()) {
-      frame.has_override = true;
-      frame.override_spec = it->second;
-    }
+    s.has_override = it != region_formats_.end();
+    if (s.has_override) s.override_spec = it->second;
+    s.config_epoch = epoch;
   }
-  ts.regions.push_back(std::move(frame));
+  const ThreadState::RegionFrame& up = ts.regions.back();
+  ts.regions.push_back({&s, up.excluded || s.excluded,
+                        s.has_override ? &s.override_spec : up.region_format});
   ts.invalidate_trunc_cache();
 }
 
 void Runtime::pop_region() {
   ThreadState& ts = tls();
-  RAPTOR_REQUIRE(!ts.regions.empty(), "pop_region without matching push_region");
+  RAPTOR_REQUIRE(ts.regions.size() > 1, "pop_region without matching push_region");
   // The popped region is still innermost: close its interval first.
   if (region_profiling_) accrue_region_time(ts);
   ts.regions.pop_back();
   ts.invalidate_trunc_cache();
 }
 
-const char* Runtime::current_region() {
-  ThreadState& ts = tls();
-  return ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
-}
+const char* Runtime::current_region() { return tls().slot().label->c_str(); }
 
 void Runtime::sync_epoch(ThreadState& ts) const {
   const u64 epoch = config_epoch_.load(std::memory_order_acquire);
@@ -343,11 +391,12 @@ const sf::Format* Runtime::effective_format(ThreadState& ts, int width) const {
   ThreadState::TruncCache& c = ts.trunc_cache[width_index(width)];
   if (!c.cached) {
     std::optional<sf::Format> f;
-    if (ts.regions.empty() || !ts.regions.back().excluded) {
-      if (!ts.regions.empty() && ts.regions.back().has_override) {
+    const ThreadState::RegionFrame& r = ts.regions.back();
+    if (!r.excluded) {
+      if (r.region_format != nullptr) {
         // Per-region override (precision-search output): most specific
         // user intent, beaten only by exclusion.
-        f = ts.regions.back().override_spec.for_width(width);
+        f = r.region_format->for_width(width);
       } else if (!ts.scopes.empty()) {
         if (ts.scopes.back().enabled) f = ts.scopes.back().spec.for_width(width);
       } else {
@@ -358,7 +407,10 @@ const sf::Format* Runtime::effective_format(ThreadState& ts, int width) const {
       }
     }
     c.active = f.has_value();
-    if (f) c.fmt = *f;
+    if (f) {
+      c.fmt = *f;
+      c.spec = sf::RoundSpec(*f);
+    }
     c.cached = true;
   }
   return c.active ? &c.fmt : nullptr;
@@ -368,29 +420,12 @@ void Runtime::accrue_region_time(ThreadState& ts) {
   // Close the innermost region's open wall-clock interval and start a new
   // one. Called at region boundaries (before the stack mutates), so the
   // accrued time is exclusive self-time: a parent's clock pauses while a
-  // child region is innermost. sync_epoch first — reset_region_profiles
-  // cleared the per-thread maps and only an epoch sync invalidates the
-  // cached slot pointer, which would otherwise dangle here.
-  sync_epoch(ts);
+  // child region is innermost.
   const auto now = std::chrono::steady_clock::now();
   if (ts.region_t0.time_since_epoch().count() != 0) {
-    if (RegionProfile* rp = region_prof(ts)) {
-      rp->seconds += std::chrono::duration<double>(now - ts.region_t0).count();
-    }
+    ts.profile(true)->seconds += std::chrono::duration<double>(now - ts.region_t0).count();
   }
   ts.region_t0 = now;
-}
-
-RegionProfile* Runtime::region_prof(ThreadState& ts) {
-  if (!ts.prof_cached) {
-    ts.region_prof = nullptr;
-    if (region_profiling_) {
-      const char* label = ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
-      ts.region_prof = &ts.region_profiles[label];
-    }
-    ts.prof_cached = true;
-  }
-  return ts.region_prof;
 }
 
 bool Runtime::truncation_active(int width) { return effective_format(tls(), width) != nullptr; }
@@ -601,14 +636,11 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const std::array<double, N>& a
   with_native<double, N>(k, [&](auto op) { sr = std::apply(op, s); });
 
   const double dev_r = deviation_of(tr.to_double(), sr);
-  if (RegionProfile* rp = region_prof(ts)) {
+  if (RegionProfile* rp = ts.profile(region_profiling_)) {
     if (dev_r > rp->max_deviation) rp->max_deviation = dev_r;
     if (dev_r > dev_threshold_) ++rp->flagged;
   }
-  if (dev_r > dev_threshold_) {
-    const char* label = ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
-    record_flag(label, k, dev_r, fresh);
-  }
+  if (dev_r > dev_threshold_) record_flag(*ts.slot().label, k, dev_r, fresh);
   // Mem-mode events carry the result's deviation bucket; op_scalar does not
   // trace mem-mode results, so this is the only capture point.
   if (trace_on_) {
@@ -694,10 +726,10 @@ void Runtime::mem_release(double maybe_boxed) {
 //
 // Called from the op entry points only while a session is active. The
 // steady-state cost is the session check plus one countdown decrement; the
-// sampled slow path interns the region label (cached until the next scope/
-// region/config change), updates the thread's per-region histograms — per
-// element for batch spans — and pushes one event into the thread's SPSC
-// ring (never blocking: a full ring counts a drop).
+// sampled slow path interns the region label (once per thread, label and
+// session: the id is kept in the region's slot), updates the slot's
+// histograms — per element for batch spans — and pushes one event into the
+// thread's SPSC ring (never blocking: a full ring counts a drop).
 
 void Runtime::trace_event(ThreadState& ts, OpKind k, const double* vals, std::size_t n,
                           const sf::Format* f, bool span, bool mem, u8 dev_bucket) {
@@ -706,22 +738,21 @@ void Runtime::trace_event(ThreadState& ts, OpKind k, const double* vals, std::si
     ts.trace_buf = tracer_.attach();
     ts.trace_session = session;
     ts.trace_countdown = tracer_.stride();
-    ts.trace_slot_cached = false;
   }
   if (--ts.trace_countdown != 0) return;
   ts.trace_countdown = tracer_.stride();
-  if (!ts.trace_slot_cached) {
-    const char* label = ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
-    ts.trace_slot = tracer_.intern(label);
-    ts.trace_hist = &ts.trace_buf->hists[ts.trace_slot];
-    ts.trace_slot_cached = true;
+  RegionSlot& s = ts.slot();
+  if (!s.traced_in(session)) {
+    s.trace_id = tracer_.intern(s.label->c_str());
+    s.trace_session = session;
+    s.hist = {};
   }
   // Span-event audit (DESIGN.md §13): batch callers pass the whole result
   // span here AFTER the loop body ran, so SIMD vectorization inside the body
   // cannot change what is recorded — still exactly one event per sampled
   // span (ev.count = n) with one histogram update per element, independent
   // of lane width. Pinned by test_simd_parity's trace-conservation tests.
-  trace::ExpHistogram& eh = ts.trace_hist->exp;
+  trace::ExpHistogram& eh = s.hist.exp;
   i32 mn = std::numeric_limits<i32>::max();
   i32 mx = std::numeric_limits<i32>::min();
   for (std::size_t i = 0; i < n; ++i) {
@@ -730,13 +761,13 @@ void Runtime::trace_event(ThreadState& ts, OpKind k, const double* vals, std::si
     mn = std::min(mn, cls);
     mx = std::max(mx, cls);
   }
-  if (dev_bucket != trace::kDevNone) ts.trace_hist->dev.add_bucket(dev_bucket);
+  if (dev_bucket != trace::kDevNone) s.hist.dev.add_bucket(dev_bucket);
 
   trace::Event ev;
   ev.kind = static_cast<u8>(k);
   ev.flags = static_cast<u8>((f != nullptr ? trace::kFlagTruncated : 0u) |
                              (span ? trace::kFlagSpan : 0u) | (mem ? trace::kFlagMem : 0u));
-  ev.region = static_cast<u16>(ts.trace_slot);
+  ev.region = static_cast<u16>(s.trace_id);
   if (f != nullptr) {
     ev.fmt_exp = static_cast<u8>(f->exp_bits);
     ev.fmt_man = static_cast<u8>(f->man_bits);
@@ -757,7 +788,7 @@ void Runtime::count(ThreadState& ts, OpKind k, bool trunc, u64 n) {
   // One bump per span, whatever the lane width or tail split: `ops counted
   // == elements processed` (DESIGN.md §13; test_simd_parity pins it).
   ts.counters.bump_ops(k, trunc, n);
-  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
+  if (RegionProfile* rp = ts.profile(region_profiling_)) rp->counters.bump_ops(k, trunc, n);
 }
 
 template <std::size_t N>
@@ -773,7 +804,7 @@ double Runtime::op_scalar(OpKind k, const std::array<double, N>& x, int width) {
   switch (select_exec<N>(k, f, hw_fastpath_)) {
     case Exec::F64: with_native<double, N>(k, hw); break;
     case Exec::F32: with_native<float, N>(k, hw); break;
-    case Exec::Fast: r = fast_apply(*fast_kernel<N>(k), x, sf::RoundSpec(*f)); break;
+    case Exec::Fast: r = fast_apply(*fast_kernel<N>(k), x, ts.round_spec(width)); break;
     case Exec::BigFloat: r = emulate(ts, k, x, *f); break;
   }
   if (trace_on_) trace_event(ts, k, &r, 1, f, /*span=*/false, /*mem=*/false, trace::kDevNone);
@@ -802,7 +833,7 @@ void Runtime::op_span(OpKind k, const std::array<const double*, N>& x, double* o
     case Exec::Fast:
       // Operand slots the kernel does not read alias the last operand.
       sf::simd::span_exec(simd_path_, *fast_kernel<N>(k), x[0], x[N > 1 ? 1 : 0], x[N - 1], out,
-                          n, sf::RoundSpec(*f));
+                          n, ts.round_spec(width));
       break;
     case Exec::BigFloat:
       for (std::size_t i = 0; i < n; ++i) out[i] = emulate(ts, k, at(x, i), *f);
@@ -853,8 +884,8 @@ void Runtime::trunc_array(const double* in, double* out, std::size_t n, int widt
     // Wider envelope than the arithmetic ops: pure rounding is exact for
     // every format representable in double, including exp_bits == 11
     // formats whose outputs land in double's subnormal range.
-    const sf::RoundSpec fmt(*f);
-    sf::simd::span_exec(simd_path_, sf::simd::SpanOp::Round, in, nullptr, nullptr, out, n, fmt);
+    sf::simd::span_exec(simd_path_, sf::simd::SpanOp::Round, in, nullptr, nullptr, out, n,
+                        ts.round_spec(width));
     return;
   }
   for (std::size_t i = 0; i < n; ++i) out[i] = sf::quantize(in[i], *f);
@@ -864,7 +895,7 @@ void Runtime::count_mem(u64 bytes) {
   if (!counting_) return;
   ThreadState& ts = tls();
   const bool trunc = effective_format(ts, 64) != nullptr;
-  RegionProfile* rp = region_prof(ts);
+  RegionProfile* rp = ts.profile(region_profiling_);
   if (trunc) {
     ts.counters.trunc_bytes += bytes;
     if (rp != nullptr) rp->counters.trunc_bytes += bytes;
@@ -878,7 +909,7 @@ void Runtime::count_mem(u64 bytes) {
 // Reports
 // ---------------------------------------------------------------------------
 
-void Runtime::record_flag(const char* location, OpKind k, double deviation, bool fresh) {
+void Runtime::record_flag(const std::string& location, OpKind k, double deviation, bool fresh) {
   std::lock_guard lock(flags_mu_);
   for (auto& f : flags_) {
     if (f.op == k && f.location == location) {
@@ -932,19 +963,27 @@ void Runtime::trace_start(const trace::TraceOptions& opts) {
 
 trace::TraceStats Runtime::trace_stop() {
   trace_on_ = false;
-  trace::TraceStats stats;
-  if (region_profiling_) {
-    // Carry the per-region wall-clock totals into the capture as 'T'
-    // blocks, so offline analysis ranks by time without needing the
-    // profile dump next to the trace.
-    std::vector<std::pair<std::string, double>> times;
-    for (const RegionProfileEntry& e : region_profiles()) {
-      if (e.profile.seconds > 0.0) times.emplace_back(e.label, e.profile.seconds);
-    }
-    stats = tracer_.stop(times);
-  } else {
-    stats = tracer_.stop();
+  const u64 session = tracer_.session();
+  const SlotTable merged = merged_slots();
+  std::vector<std::pair<u32, trace::RegionHist>> hists;
+  for (const auto& [label, s] : merged) {
+    if (s.traced_in(session)) hists.emplace_back(s.trace_id, s.hist);
   }
+  std::sort(hists.begin(), hists.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Carry the per-region wall-clock totals into the capture as 'T' blocks,
+  // so offline analysis ranks by time without needing the profile dump
+  // next to the trace. A region that was timed but never sampled is
+  // interned here.
+  std::vector<std::pair<u32, double>> seconds;
+  if (region_profiling_) {
+    for (const RegionProfileEntry& e : profile_rows(merged)) {
+      if (e.profile.seconds <= 0.0) continue;
+      const RegionSlot& s = merged.find(e.label)->second;
+      const u32 id = s.traced_in(session) ? s.trace_id : tracer_.intern(e.label.c_str());
+      seconds.emplace_back(id, e.profile.seconds);
+    }
+  }
+  const trace::TraceStats stats = tracer_.stop(hists, seconds);
   // Fold the closed session into the cumulative telemetry totals: the live
   // stats_now() accounting zeroes at stop, the counters must not.
   trace_events_total_.fetch_add(stats.events, std::memory_order_relaxed);

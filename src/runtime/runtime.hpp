@@ -26,11 +26,14 @@
 // OpenMP. mem-mode is also OpenMP-safe: the shadow table is sharded into
 // lock-striped segments (shadow_table.hpp), the table generation is an
 // atomic read, and each mem-mode operation takes exactly one locked section
-// per boxed operand plus one for the result. Each thread additionally
-// caches its resolved truncation state (effective format per width), so op
-// dispatch does not re-walk the scope/region stacks per operation; the
-// cache is invalidated on scope/region push/pop and on global config
-// changes via an epoch counter.
+// per boxed operand plus one for the result. Each thread keeps one
+// RegionSlot per region label it entered, holding everything the runtime
+// knows about that label on that thread: its exclusion and format override
+// (stamped with the config epoch), its profile, and its trace id and
+// histograms (stamped with the trace session). The thread also caches its
+// resolved truncation state (effective format and rounding constants per
+// width), invalidated on scope/region push/pop and on config-epoch bumps,
+// so op dispatch does not re-walk the scope/region stacks per operation.
 #pragma once
 
 #include <array>
@@ -125,16 +128,17 @@ class Runtime {
   //
   // When enabled, every counted operation also accrues to the profile of
   // the innermost region on its thread ("<toplevel>" outside any region),
-  // and mem-mode deviations feed the region's max_deviation. Collection is
-  // thread-local with a cached slot pointer (resolved on region entry, so
-  // steady-state cost is one pointer bump per op) and merged on read, like
-  // counters(). Off by default: Table-3 overhead numbers stay comparable.
+  // and mem-mode deviations feed the region's max_deviation. The profile
+  // lives in the thread's RegionSlot for that label, so the steady-state
+  // cost is one counter bump per op, and reads fold the live slots plus the
+  // retired aggregate, like counters(). Off by default: Table-3 overhead
+  // numbers stay comparable.
   //
   // Quiescence contract (stricter than counters(), whose racy read of a
   // live thread's totals is merely stale): region_profiles() iterates and
-  // reset_region_profiles() clears the per-thread maps, so BOTH must be
-  // called while no instrumented code is executing — a worker inserting
-  // its first entry for a region label concurrently would mutate the map
+  // reset_region_profiles() zeroes the per-thread slot tables, so BOTH must
+  // be called while no instrumented code is executing — a worker interning
+  // its first slot for a region label concurrently would mutate the table
   // under the reader. All in-tree callers read/reset between runs.
 
   void set_region_profiling(bool on);
@@ -160,17 +164,16 @@ class Runtime {
   // multi-shard runs merge offline via `trace::merge_traces` keyed by
   // region label.
   //
-  // trace_start/trace_stop/trace_histograms share the configuration
-  // quiescence contract: call them while no instrumented code is executing.
-  // Off-session cost is one predicted branch per op.
+  // The histograms live in the thread's RegionSlots next to the region
+  // profiles. trace_start/trace_stop/trace_histograms share the
+  // configuration quiescence contract: call them while no instrumented code
+  // is executing. Off-session cost is one predicted branch per op.
 
   void trace_start(const trace::TraceOptions& opts);
   trace::TraceStats trace_stop();
   [[nodiscard]] bool trace_active() const { return trace_on_; }
   /// Merged per-region exponent/deviation histograms of the active session.
-  [[nodiscard]] std::vector<trace::RegionHistEntry> trace_histograms() const {
-    return tracer_.histograms();
-  }
+  [[nodiscard]] std::vector<trace::RegionHistEntry> trace_histograms() const;
   /// Live accounting of the active session (events, drops, threads,
   /// segments; zeroes when off). Unlike the calls above this is quiescence-
   /// free — it is the telemetry scrape path.
@@ -302,13 +305,45 @@ class Runtime {
   struct ThreadState;
   ThreadState& tls();
 
+  /// Everything the runtime knows about one region label on one thread,
+  /// interned on the label's first entry and kept for the thread's lifetime
+  /// (so pointers to it never dangle; reset_region_profiles zeroes it in
+  /// place). The retired aggregate reuses the type: one fold serves
+  /// region_profiles(), trace_histograms(), retirement and trace_stop.
+  struct RegionSlot {
+    const std::string* label = nullptr;  ///< the slot table's own copy
+    /// The label's own exclusion and override as of config epoch
+    /// `config_epoch` (0 = never resolved).
+    u64 config_epoch = 0;
+    bool excluded = false;
+    bool has_override = false;
+    TruncationSpec override_spec;
+    /// Region profile (DESIGN.md §10); `profiled` = region_profiles() has a
+    /// row for it.
+    RegionProfile profile;
+    bool profiled = false;
+    /// String-table id and histograms of trace session `trace_session`
+    /// (0 = never sampled; sessions count from 1).
+    u64 trace_session = 0;
+    u32 trace_id = 0;
+    trace::RegionHist hist;
+
+    [[nodiscard]] bool traced_in(u64 session) const {
+      return session != 0 && trace_session == session;
+    }
+
+    /// Fold `s` (same label) into this slot: the profile always, the
+    /// histograms only when `s` holds trace session `session`'s.
+    void fold(const RegionSlot& s, u64 session);
+  };
+  using SlotTable = std::map<std::string, RegionSlot, std::less<>>;
+
   /// Re-validate `ts` against the global config epoch, invalidating the
-  /// thread's truncation/profile/trace caches on mismatch. Every path that
-  /// dereferences a cached per-thread pointer must sync first.
+  /// thread's truncation cache on mismatch.
   void sync_epoch(ThreadState& ts) const;
 
   /// Close the innermost region's open wall-clock interval into its
-  /// profile slot and start the next interval (region boundaries only).
+  /// profile and start the next interval (region boundaries only).
   void accrue_region_time(ThreadState& ts);
 
   /// nullptr when no truncation applies at the current point. The resolved
@@ -317,10 +352,10 @@ class Runtime {
   /// thread-local cache and stays valid until the next scope/region change.
   const sf::Format* effective_format(ThreadState& ts, int width) const;
 
-  /// Profile slot of the innermost region (nullptr when region profiling is
-  /// off). Cached per thread; callers must resolve effective_format() first
-  /// in the same operation so the epoch is synced (see ThreadState).
-  RegionProfile* region_prof(ThreadState& ts);
+  /// Every live thread's slots folded with the retired aggregate, by label.
+  [[nodiscard]] SlotTable merged_slots() const;
+  /// The profiled slots as rows, sorted by truncated+full flops descending.
+  [[nodiscard]] static std::vector<RegionProfileEntry> profile_rows(const SlotTable& slots);
 
   /// Counter bump shared by the scalar and span executors: `n` ops into
   /// the thread totals plus (when region profiling is on) the innermost
@@ -341,7 +376,8 @@ class Runtime {
   /// Trace capture (called only when trace_on_): re-syncs the thread with
   /// the tracer session, pays the sampling countdown, and on-sample records
   /// one event over `vals[0..n)` plus per-element exponent histogram
-  /// updates. `f` is the resolved target format (nullptr = untruncated).
+  /// updates in the innermost region's slot. `f` is the resolved target
+  /// format (nullptr = untruncated).
   void trace_event(ThreadState& ts, OpKind k, const double* vals, std::size_t n,
                    const sf::Format* f, bool span, bool mem, u8 dev_bucket);
 
@@ -355,7 +391,7 @@ class Runtime {
   double mem_op(ThreadState& ts, OpKind k, const std::array<double, N>& x, const sf::Format& f,
                 bool truncated);
 
-  void record_flag(const char* location, OpKind k, double deviation, bool fresh);
+  void record_flag(const std::string& location, OpKind k, double deviation, bool fresh);
 
   void register_thread(ThreadState* ts);
   void retire_thread(ThreadState* ts);
@@ -382,7 +418,7 @@ class Runtime {
   mutable std::mutex threads_mu_;
   std::vector<ThreadState*> threads_;
   CounterSnapshot retired_;
-  std::map<std::string, RegionProfile> retired_regions_;
+  SlotTable retired_slots_;  ///< retired threads' slots, folded by label
 
   mutable std::mutex flags_mu_;
   std::vector<FlagRecord> flags_;

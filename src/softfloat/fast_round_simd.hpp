@@ -188,8 +188,8 @@ template <class I>
   const vi bits = I::cast_i(x);
   const vi ef = I::and_(I::template srl<52>(bits), S.expf);
 
-  // Common-case branch: every lane normal with e_msb in [emin, emax] —
-  // excludes zeros, double subnormals, inf/NaN, gradual underflow into the
+  // Common-case branch: every lane normal with e_msb in [emin, emax], or
+  // +-0 — excludes double subnormals, inf/NaN, gradual underflow into the
   // format's subnormal range, and inputs beyond emax. For these lanes the
   // drop count is the per-span constant 52 - man_bits, so RNE collapses to
   // the significand bump bits + ((bits >> drop) & 1) + (half - 1) with the
@@ -198,9 +198,13 @@ template <class I>
   // carry past emax — is caught by re-reading the exponent (it can only
   // land at emax + 1, where the mantissa field is all zero, so for an
   // 11-bit-exponent format the carried pattern already IS the infinity).
+  // A +-0 lane passes through the same formula unchanged (the bump stays
+  // below the kept bits), so zeros, which fill fields at rest such as a
+  // Sedov velocity, need not send their vector down the general chain.
   // Real spans are overwhelmingly homogeneous, so the whole-vector test
   // predicts well; any odd lane falls through to the general chain below.
-  const vb in_range = I::andm(I::gt(ef, S.fast_lo_m1), I::gt(S.fast_hi_p1, ef));
+  const vb in_range = I::orm(I::andm(I::gt(ef, S.fast_lo_m1), I::gt(S.fast_hi_p1, ef)),
+                             I::eq(I::andnot(S.sign, bits), S.zero));
   if (I::all(in_range)) [[likely]] {
     if (S.cdrop == 0) return x;  // man_bits == 52: every fast lane is exact
     const vi bump = I::add(I::and_(I::srlv(bits, S.cdrop_v), S.one), S.fast_half_m1);

@@ -15,9 +15,14 @@
 //
 // JSON and Prometheus share one backslash-escaping core; they differ only
 // in the mapped control set and in what happens to unmapped controls.
+//
+// json_number() is the one JSON number writer of the JSON serializers, so
+// /report and the profile dumps agree on every number's spelling.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -64,6 +69,16 @@ inline std::string backslash_escape(std::string_view s, bool json_controls) {
 /// RFC 8259 JSON string escaping (quote, backslash, control characters).
 [[nodiscard]] inline std::string json_escape(std::string_view s) {
   return detail::backslash_escape(s, /*json_controls=*/true);
+}
+
+/// JSON representation of a double: the numeric literal when finite, a
+/// quoted string otherwise (JSON has no inf/nan literals).
+[[nodiscard]] inline std::string json_number(double v) {
+  if (std::isnan(v)) return "\"nan\"";
+  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
+  std::ostringstream os;
+  os << v;
+  return os.str();
 }
 
 /// RFC 4180 CSV field: quoted (with doubled inner quotes) when the value

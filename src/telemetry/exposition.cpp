@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "support/escape.hpp"
 
@@ -86,43 +85,6 @@ std::string to_prometheus(const Snapshot& snap) {
     }
   }
   return out;
-}
-
-std::string to_json(const Snapshot& snap) {
-  std::ostringstream out;
-  out << "[\n";
-  for (std::size_t i = 0; i < snap.samples.size(); ++i) {
-    const Sample& s = snap.samples[i];
-    out << "  {\"name\": \"" << json_escape(s.name) << "\", \"type\": \"" << kind_name(s.kind)
-        << "\", \"labels\": {";
-    for (std::size_t j = 0; j < s.labels.size(); ++j) {
-      out << (j > 0 ? ", " : "") << '"' << json_escape(s.labels[j].first) << "\": \""
-          << json_escape(s.labels[j].second) << '"';
-    }
-    out << "}";
-    if (s.kind == MetricKind::Histogram) {
-      out << ", \"buckets\": [";
-      for (std::size_t j = 0; j < s.bucket_counts.size(); ++j) {
-        out << (j > 0 ? ", " : "") << s.bucket_counts[j];
-      }
-      out << "], \"bounds\": [";
-      for (std::size_t j = 0; j < s.bounds.size(); ++j) {
-        out << (j > 0 ? ", " : "") << s.bounds[j];
-      }
-      out << "], \"sum\": " << s.sum << ", \"count\": " << s.count;
-    } else if (s.kind == MetricKind::Counter) {
-      out << ", \"value\": " << s.count;
-    } else {
-      if (std::isfinite(s.value)) {
-        out << ", \"value\": " << s.value;
-      } else {
-        out << ", \"value\": \"" << prom_double(s.value) << '"';
-      }
-    }
-    out << "}" << (i + 1 < snap.samples.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return out.str();
 }
 
 std::vector<ParsedSample> parse_prometheus(std::string_view text) {

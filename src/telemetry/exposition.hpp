@@ -5,8 +5,6 @@
 //     per series, histograms expanded to cumulative `_bucket{le=...}` /
 //     `_sum` / `_count`. Label values escape backslash, quote and newline
 //     via the shared helper in support/escape.hpp.
-//   * to_json(): the same snapshot as a JSON array for tool ingestion,
-//     mirroring the io/ profile dump conventions.
 //   * parse_prometheus(): a minimal exposition-text parser, enough for the
 //     raptor_monitor client and the round-trip tests — series lines only,
 //     comments skipped, labels unescaped.
@@ -21,7 +19,6 @@
 namespace raptor::telemetry {
 
 [[nodiscard]] std::string to_prometheus(const Snapshot& snap);
-[[nodiscard]] std::string to_json(const Snapshot& snap);
 
 /// One parsed exposition-format series line.
 struct ParsedSample {

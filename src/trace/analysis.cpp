@@ -167,20 +167,6 @@ std::string recommendations_to_profile(const std::vector<Recommendation>& recs) 
   return out;
 }
 
-namespace {
-
-/// JSON double literal (JSON has no inf/nan literals; mirror io::json_number
-/// so /report and the profile dumps agree on the spelling).
-std::string jnum(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string report_json(const TraceData& td, const std::vector<RegionReport>& reports) {
   std::ostringstream out;
   out << "{\"sample_stride\": " << td.sample_stride << ", \"dropped\": " << td.total_dropped()
@@ -195,9 +181,9 @@ std::string report_json(const TraceData& td, const std::vector<RegionReport>& re
     }
     out << ", \"zero\": " << r.exp.zero << ", \"subnormal\": " << r.exp.subnormal
         << ", \"inf\": " << r.exp.inf << ", \"nan\": " << r.exp.nan
-        << ", \"seconds\": " << jnum(r.seconds)
-        << ", \"dev_p99\": " << jnum(r.dev.quantile(0.99))
-        << ", \"dev_max\": " << jnum(r.dev.max_bound()) << "}"
+        << ", \"seconds\": " << json_number(r.seconds)
+        << ", \"dev_p99\": " << json_number(r.dev.quantile(0.99))
+        << ", \"dev_max\": " << json_number(r.dev.max_bound()) << "}"
         << (i + 1 < reports.size() ? ",\n" : "\n");
   }
   out << "], \"recommendations\": [\n";

@@ -1,7 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <algorithm>
-
 namespace raptor::trace {
 
 Tracer::~Tracer() {
@@ -25,7 +23,6 @@ void Tracer::start(const TraceOptions& opts) {
   strings_.clear();
   string_slots_.clear();
   strings_written_ = 0;
-  retired_hists_.clear();
   events_written_ = 0;
   segment_index_ = 0;
   opts_ = opts;
@@ -37,9 +34,8 @@ void Tracer::start(const TraceOptions& opts) {
   drainer_ = std::thread([this] { drain_loop(); });
 }
 
-TraceStats Tracer::stop() { return stop({}); }
-
-TraceStats Tracer::stop(const std::vector<std::pair<std::string, double>>& region_seconds) {
+TraceStats Tracer::stop(const std::vector<std::pair<u32, RegionHist>>& hists,
+                        const std::vector<std::pair<u32, double>>& seconds) {
   RAPTOR_REQUIRE(active(), "trace: stop() without an active session");
   active_.store(false, std::memory_order_relaxed);
   {
@@ -50,17 +46,6 @@ TraceStats Tracer::stop(const std::vector<std::pair<std::string, double>>& regio
   drainer_.join();
 
   std::lock_guard lock(mu_);
-  // Late label interning (a region that was profiled but never sampled):
-  // append to the string table before the final drain so the 'S' entries
-  // land ahead of the 'T' blocks that reference them.
-  std::vector<std::pair<u32, double>> slot_seconds;
-  slot_seconds.reserve(region_seconds.size());
-  for (const auto& [label, secs] : region_seconds) {
-    const auto [it, inserted] =
-        string_slots_.try_emplace(label, static_cast<u32>(strings_.size()));
-    if (inserted) strings_.emplace_back(label);
-    slot_seconds.emplace_back(it->second, secs);
-  }
   drain_once_locked();  // the drainer has exited: we are the only consumer now
   TraceStats stats;
   stats.events = events_written_;
@@ -71,8 +56,8 @@ TraceStats Tracer::stop(const std::vector<std::pair<std::string, double>>& regio
     stats.dropped += dropped;
     writer_->drop_block(tt->thread_index, dropped);
   }
-  for (const auto& [slot, hist] : merged_hists_locked()) writer_->hist_block(slot, hist);
-  for (const auto& [slot, secs] : slot_seconds) writer_->time_block(slot, secs);
+  for (const auto& [slot, hist] : hists) writer_->hist_block(slot, hist);
+  for (const auto& [slot, secs] : seconds) writer_->time_block(slot, secs);
   writer_->finish();
   RAPTOR_REQUIRE(writer_->good(), "trace: writing the .rtrace file failed");
   writer_.reset();
@@ -105,44 +90,6 @@ ThreadTrace* Tracer::attach() {
   buffers_.push_back(
       std::make_unique<ThreadTrace>(opts_.ring_capacity, static_cast<u32>(buffers_.size())));
   return buffers_.back().get();
-}
-
-void Tracer::detach(ThreadTrace* tt, u64 session) {
-  std::lock_guard lock(mu_);
-  // The session check must happen under mu_ and precede any dereference:
-  // start() frees the previous session's buffers and bumps session_ while
-  // holding mu_, so a straggler from a recycled session carries a dangling
-  // pointer — checked here, it is rejected before being touched, and a
-  // concurrent start() cannot slip between the check and the use.
-  if (session != session_.load(std::memory_order_relaxed)) return;
-  for (const auto& [slot, hist] : tt->hists) retired_hists_[slot].merge(hist);
-  tt->hists.clear();
-  tt->retired = true;
-  // The ring may still hold undrained events; the drainer (or the final
-  // drain in stop()) picks them up, so nothing is lost on retirement.
-}
-
-std::vector<RegionHistEntry> Tracer::histograms() const {
-  std::lock_guard lock(mu_);
-  std::vector<RegionHistEntry> out;
-  for (const auto& [slot, hist] : merged_hists_locked()) {
-    RegionHistEntry e;
-    e.label = slot < strings_.size() ? strings_[slot] : "<unknown>";
-    e.hist = hist;
-    out.push_back(std::move(e));
-  }
-  std::sort(out.begin(), out.end(), [](const RegionHistEntry& a, const RegionHistEntry& b) {
-    return a.hist.exp.total() > b.hist.exp.total();
-  });
-  return out;
-}
-
-std::map<u32, RegionHist> Tracer::merged_hists_locked() const {
-  std::map<u32, RegionHist> merged = retired_hists_;
-  for (const auto& tt : buffers_) {
-    for (const auto& [slot, hist] : tt->hists) merged[slot].merge(hist);
-  }
-  return merged;
 }
 
 void Tracer::drain_loop() {

@@ -1,23 +1,23 @@
-// Trace session management (DESIGN.md §12): owns the per-thread ring
-// buffers and histograms, the region string table, and the background
-// drainer thread that empties rings into the `.rtrace` writer.
+// Trace session management (DESIGN.md §12): owns the sessions, the
+// per-thread ring buffers, the region string table, and the background
+// drainer thread that empties rings into the `.rtrace` writer. The
+// per-region histograms live in the runtime's region slots and reach the
+// file through stop().
 //
 // Producer / consumer split:
 //   * each instrumented thread is the single producer of its own
-//     ThreadTrace ring and the only writer of its histogram map;
+//     ThreadTrace ring;
 //   * the drainer thread is the single consumer of every ring and the only
 //     writer of the output file;
 //   * the registry mutex guards attachment, the string table and the
-//     writer — the per-op hot path takes it only on a region-slot cache
-//     miss (region change), never per event.
+//     writer — a producer takes it to attach once per session and to intern
+//     a label once per (thread, label, session), never per event.
 //
-// Quiescence contract (mirrors Runtime::region_profiles): start(), stop()
-// and histograms() must be called while no instrumented code is executing.
-// The ring traffic itself is safe against the live drainer at any time —
-// that is the whole point — but the histogram maps are read unlocked.
-// A straggler thread retiring after stop() is tolerated: buffers of a
-// stopped session are kept until the next start(), and detach() ignores
-// stale sessions, so late detaches never touch freed memory.
+// Quiescence contract (mirrors Runtime::region_profiles): start() and
+// stop() must be called while no instrumented code is executing. The ring
+// traffic itself is safe against the live drainer at any time — that is
+// the whole point. Buffers of a stopped session are kept until the next
+// start(), so a straggler thread never pushes into freed memory.
 #pragma once
 
 #include <condition_variable>
@@ -59,17 +59,13 @@ struct TraceStats {
 };
 
 /// Per-thread capture state. The owning thread is the only producer of
-/// `ring` and the only writer of `hists`; everything else goes through the
-/// Tracer.
+/// `ring`; everything else goes through the Tracer.
 struct ThreadTrace {
   explicit ThreadTrace(u32 ring_capacity, u32 index)
       : ring(ring_capacity), thread_index(index) {}
 
   SpscRing ring;
-  std::map<u32, RegionHist> hists;  ///< region slot -> histograms (node-based:
-                                    ///< cached pointers survive growth)
   u32 thread_index;
-  bool retired = false;  ///< guarded by the Tracer registry mutex
 };
 
 class Tracer {
@@ -79,13 +75,12 @@ class Tracer {
 
   /// Open the sink and spawn the drainer. Requires !active().
   void start(const TraceOptions& opts);
-  /// Stop the drainer, flush every ring, write histogram/drop blocks and
-  /// the end marker. Requires active(). Buffers survive until next start().
-  TraceStats stop();
-  /// stop() that additionally writes one 'T' (wall-clock seconds) block per
-  /// labelled region — the bridge from the runtime's per-region timing into
-  /// the capture. Labels are interned like event regions.
-  TraceStats stop(const std::vector<std::pair<std::string, double>>& region_seconds);
+  /// Stop the drainer, flush every ring, write the drop blocks, one 'H'
+  /// block per `hists` entry and one 'T' (wall-clock seconds) block per
+  /// `seconds` entry (both keyed by string-table slot), and the end
+  /// marker. Requires active(). Buffers survive until next start().
+  TraceStats stop(const std::vector<std::pair<u32, RegionHist>>& hists = {},
+                  const std::vector<std::pair<u32, double>>& seconds = {});
 
   /// Live session accounting: events written so far, current ring drops,
   /// attached threads and segments. Safe against the running drainer (takes
@@ -109,13 +104,6 @@ class Tracer {
 
   /// Register the calling thread with the current session.
   ThreadTrace* attach();
-  /// Thread retirement: merge the thread's histograms into the retired
-  /// aggregate and mark the buffer. No-op when `session` is stale.
-  void detach(ThreadTrace* tt, u64 session);
-
-  /// Merged per-region histograms (live + retired threads), sorted by
-  /// total exponent samples descending. Quiescence contract above.
-  [[nodiscard]] std::vector<RegionHistEntry> histograms() const;
 
  private:
   void drain_loop();
@@ -124,16 +112,12 @@ class Tracer {
   /// Roll to the next segment when the current one outgrew
   /// opts_.segment_bytes (and compact the closed one). Caller holds mu_.
   void maybe_rotate_locked();
-  /// Merged slot -> histogram map over live + retired threads. Caller
-  /// holds mu_.
-  [[nodiscard]] std::map<u32, RegionHist> merged_hists_locked() const;
 
   mutable std::mutex mu_;  ///< registry, string table, writer
   std::vector<std::unique_ptr<ThreadTrace>> buffers_;
   std::vector<std::string> strings_;
   std::map<std::string, u32> string_slots_;
   std::size_t strings_written_ = 0;
-  std::map<u32, RegionHist> retired_hists_;
   std::unique_ptr<RtraceWriter> writer_;
   std::vector<Event> scratch_;  ///< drain staging (drainer/stop only)
   u64 events_written_ = 0;

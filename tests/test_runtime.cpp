@@ -5,7 +5,10 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -184,6 +187,107 @@ TEST_F(RuntimeTest, CurrentRegionTracksInnermost) {
     EXPECT_STREQ(R.current_region(), "beta");
   }
   EXPECT_STREQ(R.current_region(), "alpha");
+}
+
+// ---------------------------------------------------------------------------
+// Region identity: one slot per (thread, label text)
+// ---------------------------------------------------------------------------
+
+const RegionProfileEntry* find_row(const std::vector<RegionProfileEntry>& rows,
+                                   const std::string& label) {
+  const RegionProfileEntry* found = nullptr;
+  for (const auto& e : rows) {
+    if (e.label != label) continue;
+    EXPECT_EQ(found, nullptr) << "two profile rows for " << label;
+    found = &e;
+  }
+  return found;
+}
+
+TEST_F(RuntimeTest, SameLabelTextFromTwoBuffersIsOneRegion) {
+  const std::string a = "dup/label";
+  const std::vector<char> b(a.c_str(), a.c_str() + a.size() + 1);
+  ASSERT_NE(static_cast<const void*>(a.c_str()), static_cast<const void*>(b.data()));
+  R.set_region_profiling(true);
+  R.exclude_region("dup/label");
+  TruncScope scope(8, 4);
+  for (const char* label : {a.c_str(), b.data()}) {
+    Region r(label);
+    EXPECT_FALSE(R.truncation_active(64)) << "exclusion missed for one buffer";
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  const auto rows = R.region_profiles();
+  const RegionProfileEntry* row = find_row(rows, "dup/label");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->profile.counters.full_flops, 2u);
+  EXPECT_EQ(row->profile.counters.trunc_flops, 0u);
+}
+
+TEST_F(RuntimeTest, ReusedLabelBufferDoesNotInheritTheOldSlot) {
+  // One buffer, two labels in turn (grid-owned label strings recycle their
+  // addresses the same way): the second entry must resolve its own
+  // exclusion, override and profile.
+  char buf[32];
+  R.set_region_profiling(true);
+  R.exclude_region("first");
+  R.set_region_format("second", TruncationSpec::trunc64(8, 6));
+  std::strcpy(buf, "first");
+  {
+    Region r(buf);
+    EXPECT_FALSE(R.truncation_active(64));
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  std::strcpy(buf, "second");
+  {
+    Region r(buf);
+    EXPECT_STREQ(R.current_region(), "second");
+    EXPECT_EQ(R.active_format(64), (sf::Format{8, 6}));
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  const auto rows = R.region_profiles();
+  const RegionProfileEntry* first = find_row(rows, "first");
+  const RegionProfileEntry* second = find_row(rows, "second");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->profile.counters.full_flops, 1u);
+  EXPECT_EQ(second->profile.counters.trunc_flops, 1u);
+  EXPECT_EQ(second->profile.counters.full_flops, 0u);
+}
+
+TEST_F(RuntimeTest, FreedLabelStringsAreNeverReadBack) {
+  // Each label dies with its region; the rows must still carry the text.
+  // A slot that kept the caller's pointer would read freed memory here
+  // (the ASan job runs this suite).
+  R.set_region_profiling(true);
+  for (int level = 1; level <= 3; ++level) {
+    const auto label =
+        std::make_unique<std::string>("amr/L" + std::to_string(level) + "/a-label-past-sso-size");
+    Region r(label->c_str());
+    for (int i = 0; i < level; ++i) (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  const auto rows = R.region_profiles();
+  for (int level = 1; level <= 3; ++level) {
+    const RegionProfileEntry* row =
+        find_row(rows, "amr/L" + std::to_string(level) + "/a-label-past-sso-size");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->profile.counters.full_flops, static_cast<u64>(level));
+  }
+}
+
+TEST_F(RuntimeTest, ResetRegionProfilesInsideAnOpenRegion) {
+  R.set_region_profiling(true);
+  {
+    Region r("open");
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+    R.reset_region_profiles();
+    (void)R.op2(OpKind::Mul, 1.0, 2.0, 64);
+  }
+  const auto rows = R.region_profiles();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].label, "open");
+  EXPECT_EQ(rows[0].profile.counters.full_flops, 1u);
+  EXPECT_EQ(rows[0].profile.seconds, 0.0);  // the interval open at the reset was discarded
 }
 
 TEST_F(RuntimeTest, ClearExclusionsRestoresTruncation) {

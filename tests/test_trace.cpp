@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -616,6 +617,65 @@ TEST_F(TraceRuntimeTest, RestartedSessionResyncsThreads) {
   std::remove(path2.c_str());
   ASSERT_EQ(td.events.size(), 2u);
   EXPECT_EQ(td.events[0].kind, static_cast<u8>(OpKind::Sub));
+}
+
+TEST_F(TraceRuntimeTest, LabelIdentityIsTheTextNotTheBuffer) {
+  // Two buffers spelling one label are one trace region; one buffer reused
+  // for another label after its region closed is two.
+  const std::string a = "ident/same";
+  const std::vector<char> b(a.c_str(), a.c_str() + a.size() + 1);
+  char buf[32];
+  R.trace_start(opts_for(kPath, 1));
+  for (const char* label : {a.c_str(), b.data()}) {
+    Region region(label);
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  std::strcpy(buf, "ident/first");
+  {
+    Region region(buf);
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  std::strcpy(buf, "ident/other");
+  {
+    Region region(buf);
+    (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+  }
+  const auto hists = R.trace_histograms();
+  EXPECT_EQ(R.trace_stop().events, 4u);
+
+  ASSERT_EQ(hists.size(), 3u);
+  EXPECT_EQ(hists[0].label, "ident/same");
+  EXPECT_EQ(hists[0].hist.exp.total(), 2u);
+  const trace::TraceData td = trace::read_rtrace(kPath);
+  EXPECT_EQ(td.regions, (std::vector<std::string>{"ident/same", "ident/first", "ident/other"}));
+  std::map<std::string, u64> events;
+  for (const auto& e : td.events) ++events[td.region_name(e.region)];
+  EXPECT_EQ(events["ident/same"], 2u);
+  EXPECT_EQ(events["ident/first"], 1u);
+  EXPECT_EQ(events["ident/other"], 1u);
+  ASSERT_EQ(td.histograms.size(), 3u);
+}
+
+TEST_F(TraceRuntimeTest, TimedButUnsampledRegionGetsASecondsBlock) {
+  // A stride no run reaches: nothing is sampled, yet the profiled region's
+  // wall-clock time is written as a 'T' block under an interned label.
+  R.set_region_profiling(true);
+  R.trace_start(opts_for(kPath, 1u << 30));
+  {
+    Region region("timed/only");
+    for (int i = 0; i < 1000; ++i) (void)R.op2(OpKind::Add, 1.0, 2.0, 64);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(R.trace_stop().events, 0u);
+  const trace::TraceData td = trace::read_rtrace(kPath);
+  EXPECT_TRUE(td.histograms.empty());
+  bool found = false;
+  for (const auto& [slot, secs] : td.region_seconds) {
+    if (td.region_name(slot) != "timed/only") continue;
+    found = true;
+    EXPECT_GT(secs, 0.0);
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(TraceRuntimeTest, EightProducersVersusDrainer) {
