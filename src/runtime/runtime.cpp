@@ -528,12 +528,17 @@ sf::BigFloat bf_apply(OpKind k, const sf::BigFloat* const* x, const sf::Format& 
 }
 
 /// The fast_* kernel computing `k` at arity N, if it has one (bit-identical
-/// to BigFloat inside the envelope; fast_round.hpp).
+/// to BigFloat inside its envelope, sf::simd::span_supports; fast_round.hpp).
 template <std::size_t N>
 std::optional<sf::simd::SpanOp> fast_kernel(OpKind k) {
   using sf::simd::SpanOp;
   if (N == 1 && k == OpKind::Neg) return SpanOp::Neg;
   if (N == 1 && k == OpKind::Sqrt) return SpanOp::Sqrt;
+  if (N == 1 && k == OpKind::Exp) return SpanOp::Exp;
+  if (N == 1 && k == OpKind::Log) return SpanOp::Log;
+  if (N == 1 && k == OpKind::Log2) return SpanOp::Log2;
+  if (N == 1 && k == OpKind::Log10) return SpanOp::Log10;
+  if (N == 1 && k == OpKind::Cbrt) return SpanOp::Cbrt;
   if (N == 2 && k == OpKind::Add) return SpanOp::Add;
   if (N == 2 && k == OpKind::Sub) return SpanOp::Sub;
   if (N == 2 && k == OpKind::Mul) return SpanOp::Mul;
@@ -550,6 +555,11 @@ double fast_apply(sf::simd::SpanOp op, const std::array<double, N>& x, const sf:
   switch (op) {
     case sf::simd::SpanOp::Neg: return sf::fast_neg(a, s);
     case sf::simd::SpanOp::Sqrt: return sf::fast_sqrt(a, s);
+    case sf::simd::SpanOp::Exp: return sf::fast_exp(a, s);
+    case sf::simd::SpanOp::Log: return sf::fast_log(a, s);
+    case sf::simd::SpanOp::Log2: return sf::fast_log2(a, s);
+    case sf::simd::SpanOp::Log10: return sf::fast_log10(a, s);
+    case sf::simd::SpanOp::Cbrt: return sf::fast_cbrt(a, s);
     case sf::simd::SpanOp::Add: return sf::fast_add(a, b, s);
     case sf::simd::SpanOp::Sub: return sf::fast_sub(a, b, s);
     case sf::simd::SpanOp::Mul: return sf::fast_mul(a, b, s);
@@ -561,7 +571,7 @@ double fast_apply(sf::simd::SpanOp op, const std::array<double, N>& x, const sf:
 enum class Exec : u8 {
   F64,      ///< double hardware: untruncated, or an fp64 target under hw_fastpath
   F32,      ///< float hardware: an fp32 target under hw_fastpath
-  Fast,     ///< fp64 hardware + fast_round, inside the bit-exact envelope
+  Fast,     ///< fp64 hardware or libm + fast_round, inside the bit-exact envelope
   BigFloat  ///< per-op emulation (Fig. 5a); everything else
 };
 
@@ -574,8 +584,8 @@ Exec select_exec(OpKind k, const sf::Format* f, bool hw_fastpath) {
   if (f == nullptr) return Exec::F64;
   if (hw_fastpath && *f == sf::Format::fp64()) return Exec::F64;
   if (hw_fastpath && *f == sf::Format::fp32()) return Exec::F32;
-  const bool envelope = N == 3 ? sf::fast_fma_supports(*f) : sf::fast_op_supports(*f);
-  return envelope && fast_kernel<N>(k) ? Exec::Fast : Exec::BigFloat;
+  const auto op = fast_kernel<N>(k);
+  return op && sf::simd::span_supports(*op, *f) ? Exec::Fast : Exec::BigFloat;
 }
 
 }  // namespace

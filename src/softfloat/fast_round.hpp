@@ -21,18 +21,27 @@
 // rounding) only when the working precision is large enough relative to p
 // (Figueroa 1995): p <= 25 for add/sub/mul/div/sqrt through a 53-bit
 // intermediate; fma additionally recovers the exact addition error with
-// TwoSum and rounds the intermediate to odd. The envelope predicates below also
-// cap exp_bits at 9 so no intermediate can land in double's subnormal range,
-// where the hardware rounds at reduced precision and the innocuousness
-// argument breaks down. Anything outside these envelopes must take the
-// BigFloat path; computing through fp32 hardware instead double-rounds for
-// every format narrower than fp32 with man_bits > 11 (DESIGN.md §8 shows a
-// witness pair) and is never correct here.
+// TwoSum and rounds the intermediate to odd. The argument needs the full 53
+// bits, which double lacks in its subnormal range (|r| < 2^-1022). Add/sub
+// results there are exact and sqrt never gets there, but a mul/div of e10 or
+// e11 operands can: fast_mul/fast_div send exactly those results (nonzero
+// double subnormals) to the BigFloat reference; a result that underflows to
+// +-0 is already correct. FMA keeps exp_bits <= 9, where no intermediate can
+// reach double's subnormal range. Anything outside these envelopes must take
+// the BigFloat path; computing through fp32 hardware instead double-rounds
+// for every format narrower than fp32 with man_bits > 11 (DESIGN.md §8 shows
+// a witness pair) and is never correct here.
+//
+// fast_exp/log/log2/log10/cbrt (fast_math.cpp) evaluate libm on the rounded
+// operand and keep its rounded result only when a rounding test proves it
+// equal to the BigFloat reference; otherwise they return the reference
+// (DESIGN.md §6).
 #pragma once
 
 #include <bit>
 #include <cmath>
 
+#include "softfloat/bigfloat.hpp"
 #include "softfloat/format.hpp"
 
 namespace raptor::sf {
@@ -43,22 +52,25 @@ namespace raptor::sf {
   return fmt.valid() && fmt.exp_bits <= 11 && fmt.man_bits <= 52;
 }
 
-/// True if fast_add/sub/mul/div/sqrt are bit-identical to the BigFloat
+/// True if fast_add/sub/mul/div/neg/sqrt are bit-identical to the BigFloat
 /// reference for this format: double rounding through the 53-bit hardware
-/// intermediate is innocuous (p <= 25) and no intermediate of
-/// format-representable operands can reach double's subnormal range
-/// (exp_bits <= 9 keeps |result| >= 2^-556 or exactly zero).
+/// intermediate is innocuous (p <= 25). For exp_bits 10 and 11 a mul/div
+/// result can land in double's subnormal range; the kernels detect those
+/// results and take the reference where it matters
+/// (fast_guards_subnormals).
 [[nodiscard]] constexpr bool fast_op_supports(const Format& fmt) {
-  return fmt.valid() && fmt.exp_bits <= 9 && fmt.man_bits <= 24;
+  return fmt.valid() && fmt.exp_bits <= 11 && fmt.man_bits <= 24;
 }
 
 /// True if fast_fma is bit-identical to the BigFloat reference. The product
 /// of two format values is exact in double (2p <= 50 bits) and the final
 /// addition recovers its exact error with TwoSum, rounding the 53-bit
-/// intermediate to odd before the final RNE — so the envelope matches the
-/// two-operand one. (A single hardware fma is NOT enough at any precision:
-/// when the addend sits more than 53 binades below the product it is
-/// discarded entirely, yet it must still break the target format's ties.)
+/// intermediate to odd before the final RNE. exp_bits <= 9 keeps the
+/// product and the TwoSum error inside double's normal range; the e10-e11
+/// widening of the two-operand envelope does not extend to fma. (A single
+/// hardware fma is NOT enough at any precision: when the addend sits more
+/// than 53 binades below the product it is discarded entirely, yet it must
+/// still break the target format's ties.)
 [[nodiscard]] constexpr bool fast_fma_supports(const Format& fmt) {
   return fmt.valid() && fmt.exp_bits <= 9 && fmt.man_bits <= 24;
 }
@@ -67,12 +79,29 @@ namespace raptor::sf {
 /// this out of the per-element kernel so exponent arithmetic on Format
 /// fields is not redone per call.
 struct RoundSpec {
+  int exp_bits;
   int man_bits;
   i64 emax;
   i64 emin_sub;
   constexpr explicit RoundSpec(const Format& f)
-      : man_bits(f.man_bits), emax(f.emax()), emin_sub(f.emin_subnormal()) {}
+      : exp_bits(f.exp_bits), man_bits(f.man_bits), emax(f.emax()), emin_sub(f.emin_subnormal()) {}
+  [[nodiscard]] constexpr Format format() const { return Format{exp_bits, man_bits}; }
 };
+
+/// True if a mul/div of two values of this format can be misrounded
+/// through a nonzero double-subnormal hardware result, which the hardware
+/// rounds at reduced precision. Only a format with values below 2^-1022
+/// (exp_bits == 11) is exposed: for narrower exponents such a result and
+/// the exact one both round to +-0 in the format. Span kernels decide this
+/// once per span; the scalar fast_mul/fast_div always check.
+[[nodiscard]] constexpr bool fast_guards_subnormals(const RoundSpec& s) {
+  return s.emin_sub < -1022;
+}
+
+/// A nonzero double subnormal: the hardware rounded it at reduced precision.
+[[nodiscard]] inline bool double_subnormal(double r) {
+  return r != 0.0 && std::fabs(r) < 0x1p-1022;
+}
 
 /// Round `x` into the format described by `spec` (RNE) and widen back to
 /// double. Bit-identical to sf::quantize for every format
@@ -160,6 +189,7 @@ struct RoundSpec {
 // Fast op-mode operations (round operands -> one hardware op -> fast_round).
 // Callers must gate on fast_op_supports / fast_fma_supports; inside those
 // envelopes each function is bit-identical to the trunc_* BigFloat reference.
+// The elementary functions need only fast_round_supports.
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] inline double fast_add(double a, double b, const RoundSpec& fmt) {
@@ -169,10 +199,14 @@ struct RoundSpec {
   return fast_round(fast_round(a, fmt) - fast_round(b, fmt), fmt);
 }
 [[nodiscard]] inline double fast_mul(double a, double b, const RoundSpec& fmt) {
-  return fast_round(fast_round(a, fmt) * fast_round(b, fmt), fmt);
+  const double r = fast_round(a, fmt) * fast_round(b, fmt);
+  if (double_subnormal(r)) [[unlikely]] return trunc_mul(a, b, fmt.format());
+  return fast_round(r, fmt);
 }
 [[nodiscard]] inline double fast_div(double a, double b, const RoundSpec& fmt) {
-  return fast_round(fast_round(a, fmt) / fast_round(b, fmt), fmt);
+  const double r = fast_round(a, fmt) / fast_round(b, fmt);
+  if (double_subnormal(r)) [[unlikely]] return trunc_div(a, b, fmt.format());
+  return fast_round(r, fmt);
 }
 [[nodiscard]] inline double fast_neg(double a, const RoundSpec& fmt) {
   // Negation is exact; the outer fast_round only canonicalizes -NaN.
@@ -224,5 +258,16 @@ struct RoundSpec {
 [[nodiscard]] inline double fast_fma(double a, double b, double c, const Format& f) {
   return fast_fma(a, b, c, RoundSpec(f));
 }
+
+// Elementary functions (fast_math.cpp): bit-identical to trunc_exp/log/
+// log2/log10/cbrt for every format fast_round_supports() accepts. The libm
+// result is kept when it provably rounds like the BigFloat working value;
+// the rare rest (exact zeros, over/underflow, results within 2^-46 of a
+// rounding boundary) is computed by the reference.
+[[nodiscard]] double fast_exp(double x, const RoundSpec& fmt);
+[[nodiscard]] double fast_log(double x, const RoundSpec& fmt);
+[[nodiscard]] double fast_log2(double x, const RoundSpec& fmt);
+[[nodiscard]] double fast_log10(double x, const RoundSpec& fmt);
+[[nodiscard]] double fast_cbrt(double x, const RoundSpec& fmt);
 
 }  // namespace raptor::sf

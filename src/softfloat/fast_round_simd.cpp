@@ -42,6 +42,13 @@ void span_portable(SpanOp op, const double* a, const double* b, const double* c,
     case SpanOp::Fma:
       for (std::size_t i = 0; i < n; ++i) out[i] = fast_fma(a[i], b[i], c[i], spec);
       break;
+    case SpanOp::Exp:
+    case SpanOp::Log:
+    case SpanOp::Log2:
+    case SpanOp::Log10:
+    case SpanOp::Cbrt:
+      elementary_span(op, a, out, n, spec);
+      break;
   }
 }
 
@@ -86,6 +93,20 @@ Path read_env_default() {
 }
 
 }  // namespace
+
+void elementary_span(SpanOp op, const double* a, double* out, std::size_t n,
+                     const RoundSpec& spec) {
+  double (*fn)(double, const RoundSpec&) = nullptr;
+  switch (op) {
+    case SpanOp::Exp: fn = fast_exp; break;
+    case SpanOp::Log: fn = fast_log; break;
+    case SpanOp::Log2: fn = fast_log2; break;
+    case SpanOp::Log10: fn = fast_log10; break;
+    case SpanOp::Cbrt: fn = fast_cbrt; break;
+    default: RAPTOR_REQUIRE(false, "elementary_span: not an elementary op");
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = fn(a[i], spec);
+}
 
 bool path_supported(Path p) { return cpu_supports(p); }
 

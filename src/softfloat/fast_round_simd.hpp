@@ -26,13 +26,23 @@
 // overflow-to-inf. tests/test_simd_parity.cpp pins this with exhaustive
 // fp16-pattern sweeps and >= 1M random fp64 inputs per format on every
 // available path. Envelopes are the caller's job, exactly as for the scalar
-// kernels: SpanOp::Round requires fast_round_supports(fmt); the arithmetic
-// ops require fast_op_supports / fast_fma_supports.
+// kernels: span_supports(op, fmt) must hold.
+//
+// Subnormal guard: for exp_bits 11 a mul/div result can be a nonzero double
+// subnormal, rounded by the hardware at reduced precision, where the format
+// still has values. The span kernels then send exactly those lanes to the
+// BigFloat reference; the choice between the guarded and the plain loop is
+// made once per span (fast_guards_subnormals), so e <= 10 spans run the
+// plain loop unchanged.
 //
 // Tail strategy: each span kernel streams full vectors and finishes the
-// remaining n % width elements through the scalar sf::fast_* kernels, which
-// are bit-identical by construction — so span results never depend on where
-// the vector/tail boundary falls (pinned by the edge-span tests).
+// remaining n % width elements as one padded vector from a stack buffer
+// (padding repeats the last element), storing only the tail lanes. Lanes
+// are independent, so span results never depend on where the vector/tail
+// boundary falls (pinned by the edge-span tests).
+//
+// Elementary functions (exp/log/log2/log10/cbrt) run per element on every
+// path through the scalar sf::fast_* kernels (elementary_span).
 #pragma once
 
 #include <cstddef>
@@ -48,10 +58,37 @@ namespace raptor::sf::simd {
 /// build them AND the CPU reports the extension at runtime.
 enum class Path : u8 { Portable = 0, Avx2 = 1, Avx512 = 2 };
 
-/// Element-wise span operations backing the four batch loop bodies.
-/// Operand use: Round/Neg/Sqrt read `a`; Add/Sub/Mul/Div read `a`,`b`;
-/// Fma reads `a`,`b`,`c`. Unused operand pointers may be null.
-enum class SpanOp : u8 { Round, Add, Sub, Mul, Div, Neg, Sqrt, Fma };
+/// Element-wise span operations backing the batch loop bodies.
+/// Operand use: Round/Neg/Sqrt and the elementary functions read `a`;
+/// Add/Sub/Mul/Div read `a`,`b`; Fma reads `a`,`b`,`c`. Unused operand
+/// pointers may be null.
+enum class SpanOp : u8 { Round, Add, Sub, Mul, Div, Neg, Sqrt, Fma, Exp, Log, Log2, Log10, Cbrt };
+
+/// The formats for which `op` is bit-identical to the BigFloat reference:
+/// fast_round_supports for Round and the elementary functions (their
+/// rounding test covers every such format), fast_fma_supports for Fma,
+/// fast_op_supports for the rest.
+[[nodiscard]] constexpr bool span_supports(SpanOp op, const Format& fmt) {
+  switch (op) {
+    case SpanOp::Fma:
+      return fast_fma_supports(fmt);
+    case SpanOp::Add:
+    case SpanOp::Sub:
+    case SpanOp::Mul:
+    case SpanOp::Div:
+    case SpanOp::Neg:
+    case SpanOp::Sqrt:
+      return fast_op_supports(fmt);
+    default:
+      return fast_round_supports(fmt);
+  }
+}
+
+/// The elementary-function span ops, on every path: one sf::fast_exp/log/
+/// log2/log10/cbrt call per element (libm has no vector form here, and the
+/// rounding test and its BigFloat fallback are per element anyway).
+void elementary_span(SpanOp op, const double* a, double* out, std::size_t n,
+                     const RoundSpec& spec);
 
 /// True if `p` can execute on this binary and this CPU (compile-time target
 /// support and runtime CPUID both checked). Portable is always true.
@@ -317,71 +354,140 @@ template <class I>
   return vround<I>(I::cast_f(s2), S);
 }
 
-/// Span driver shared by the per-ISA translation units: full vectors through
-/// the lane kernels, scalar sf::fast_* for the n % width tail.
-template <class I>
-inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
-                      double* out, std::size_t n, const RoundSpec& sp) {
-  const VSpec<I> S(sp);
+/// Stream [0, n) through `vec(i, a, b, c, out, live)`, which computes one
+/// vector from W lanes at offset i of each operand it reads, stores W lanes
+/// at out + i, and treats only the first `live` lanes as real. Full vectors
+/// read the span in place; the n % W tail runs as one padded vector from a
+/// stack buffer whose padding repeats the last element (so the padded lanes
+/// take the same vround branch as the real ones), and only the tail lanes
+/// are stored. Null operand pointers (operands the op does not read) stay
+/// null.
+template <class I, class Vec>
+inline void stream(const double* a, const double* b, const double* c, double* out,
+                   std::size_t n, const Vec& vec) {
   constexpr std::size_t W = I::width;
   std::size_t i = 0;
+  for (; i + W <= n; i += W) vec(i, a, b, c, out, W);
+  if (i == n) return;
+  const std::size_t live = n - i;
+  double pad[4][W];
+  const auto fill = [&](const double* src, double* dst) -> const double* {
+    if (src == nullptr) return nullptr;
+    for (std::size_t j = 0; j < W; ++j) dst[j] = src[i + (j < live ? j : live - 1)];
+    return dst;
+  };
+  vec(0, fill(a, pad[0]), fill(b, pad[1]), fill(c, pad[2]), pad[3], live);
+  for (std::size_t j = 0; j < live; ++j) out[i + j] = pad[3][j];
+}
+
+/// One vector of a two-operand op: round both operands, apply the hardware
+/// op `hw`, round the result. With kGuard (fast_guards_subnormals), lanes
+/// whose hardware result is a nonzero double subnormal, where the hardware
+/// rounded at reduced precision, are recomputed by the BigFloat reference
+/// `ref` from their operands. The operands are read before out + i is
+/// stored, so out may alias a or b.
+template <class I, bool kGuard, class Hw>
+struct BinaryVec {
+  const VSpec<I>& S;
+  const RoundSpec& sp;
+  Hw hw;
+  double (*ref)(double, double, const Format&);
+
+  void operator()(std::size_t i, const double* a, const double* b, const double*, double* out,
+                  std::size_t live) const {
+    using vi = typename I::vi;
+    const typename I::vf r = hw(vround<I>(I::loadu(a + i), S), vround<I>(I::loadu(b + i), S));
+    typename I::vf res = vround<I>(r, S);
+    if constexpr (kGuard) {
+      const vi rb = I::cast_i(r);
+      const typename I::vb sub = I::andm(I::eq(I::and_(rb, S.inf), S.zero),
+                                         I::notm(I::eq(I::andnot(S.sign, rb), S.zero)));
+      if (!I::all(I::notm(sub))) [[unlikely]] {
+        double raw[I::width], fixed[I::width];
+        I::storeu(raw, r);
+        I::storeu(fixed, res);
+        for (std::size_t j = 0; j < live; ++j) {
+          if (double_subnormal(raw[j])) fixed[j] = ref(a[i + j], b[i + j], sp.format());
+        }
+        res = I::loadu(fixed);
+      }
+    }
+    I::storeu(out + i, res);
+  }
+};
+
+/// Run a two-operand op, choosing the subnormal guard once per span.
+/// `ref` is null for the ops whose double-subnormal results are exact.
+template <class I, class Hw>
+inline void binary_span(const double* a, const double* b, double* out, std::size_t n,
+                        const VSpec<I>& S, const RoundSpec& sp, Hw hw,
+                        double (*ref)(double, double, const Format&)) {
+  if (ref != nullptr && fast_guards_subnormals(sp)) {
+    stream<I>(a, b, nullptr, out, n, BinaryVec<I, true, Hw>{S, sp, hw, ref});
+  } else {
+    stream<I>(a, b, nullptr, out, n, BinaryVec<I, false, Hw>{S, sp, hw, ref});
+  }
+}
+
+/// Span driver shared by the per-ISA translation units. Flattened, so that
+/// the loops, the lane kernels and the per-span constants of VSpec live in
+/// one function (only the BigFloat and elementary calls stay calls).
+template <class I>
+[[gnu::flatten]] inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
+                      double* out, std::size_t n, const RoundSpec& sp) {
+  using vf = typename I::vf;
+  const VSpec<I> S(sp);
   switch (op) {
     case SpanOp::Round:
-      for (; i + W <= n; i += W) I::storeu(out + i, vround<I>(I::loadu(a + i), S));
-      for (; i < n; ++i) out[i] = fast_round(a[i], sp);
+      stream<I>(a, nullptr, nullptr, out, n,
+                [&](std::size_t i, const double* x, const double*, const double*, double* o,
+                    std::size_t) { I::storeu(o + i, vround<I>(I::loadu(x + i), S)); });
       break;
     case SpanOp::Add:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::addf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
-                                     S));
-      }
-      for (; i < n; ++i) out[i] = fast_add(a[i], b[i], sp);
+      // Add/sub results in double's subnormal range are exact: no guard.
+      binary_span<I>(a, b, out, n, S, sp, [](vf x, vf y) { return I::addf(x, y); }, nullptr);
       break;
     case SpanOp::Sub:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::subf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
-                                     S));
-      }
-      for (; i < n; ++i) out[i] = fast_sub(a[i], b[i], sp);
+      binary_span<I>(a, b, out, n, S, sp, [](vf x, vf y) { return I::subf(x, y); }, nullptr);
       break;
     case SpanOp::Mul:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::mulf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
-                                     S));
-      }
-      for (; i < n; ++i) out[i] = fast_mul(a[i], b[i], sp);
+      binary_span<I>(a, b, out, n, S, sp, [](vf x, vf y) { return I::mulf(x, y); }, trunc_mul);
       break;
     case SpanOp::Div:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::divf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
-                                     S));
-      }
-      for (; i < n; ++i) out[i] = fast_div(a[i], b[i], sp);
+      binary_span<I>(a, b, out, n, S, sp, [](vf x, vf y) { return I::divf(x, y); }, trunc_div);
       break;
     case SpanOp::Neg:
       // Negation is the sign-bit flip (also on NaN), as the scalar kernel's
       // `-fast_round(a)`; the outer round only re-canonicalizes NaN.
-      for (; i + W <= n; i += W) {
-        const typename I::vi r = I::cast_i(vround<I>(I::loadu(a + i), S));
-        I::storeu(out + i, vround<I>(I::cast_f(I::xor_(r, S.sign)), S));
-      }
-      for (; i < n; ++i) out[i] = fast_neg(a[i], sp);
+      stream<I>(a, nullptr, nullptr, out, n,
+                [&](std::size_t i, const double* x, const double*, const double*, double* o,
+                    std::size_t) {
+                  const typename I::vi r = I::cast_i(vround<I>(I::loadu(x + i), S));
+                  I::storeu(o + i, vround<I>(I::cast_f(I::xor_(r, S.sign)), S));
+                });
       break;
     case SpanOp::Sqrt:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::sqrtf_(vround<I>(I::loadu(a + i), S)), S));
-      }
-      for (; i < n; ++i) out[i] = fast_sqrt(a[i], sp);
+      // The square root of a nonzero format value is never a double
+      // subnormal: no guard.
+      stream<I>(a, nullptr, nullptr, out, n,
+                [&](std::size_t i, const double* x, const double*, const double*, double* o,
+                    std::size_t) {
+                  I::storeu(o + i, vround<I>(I::sqrtf_(vround<I>(I::loadu(x + i), S)), S));
+                });
       break;
     case SpanOp::Fma:
-      for (; i + W <= n; i += W) {
-        I::storeu(out + i, vfma<I>(I::loadu(a + i), I::loadu(b + i), I::loadu(c + i), S));
-      }
-      for (; i < n; ++i) out[i] = fast_fma(a[i], b[i], c[i], sp);
+      stream<I>(a, b, c, out, n,
+                [&](std::size_t i, const double* x, const double* y, const double* z, double* o,
+                    std::size_t) {
+                  I::storeu(o + i, vfma<I>(I::loadu(x + i), I::loadu(y + i), I::loadu(z + i), S));
+                });
+      break;
+    case SpanOp::Exp:
+    case SpanOp::Log:
+    case SpanOp::Log2:
+    case SpanOp::Log10:
+    case SpanOp::Cbrt:
+      elementary_span(op, a, out, n, sp);
       break;
   }
 }

@@ -9,6 +9,7 @@
 #include "burn/burn.hpp"
 #include "burn/cellular.hpp"
 #include "runtime/runtime.hpp"
+#include "softfloat/fast_round.hpp"
 #include "support/rng.hpp"
 
 namespace raptor::burn {
@@ -236,6 +237,130 @@ TEST_F(BurnTest, CellularBatchFallsBackOutsideOpMode) {
   R.set_mode(rt::Mode::Op);
   CellularSim<double> simd(cc);
   EXPECT_GT(simd.step(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Batch/scalar parity at the search's e11 formats (fast kernels, DESIGN.md
+// §6 and §13): rounding-tested exp/cbrt and guarded e11 arithmetic
+// ---------------------------------------------------------------------------
+
+void expect_same_counts(const rt::CounterSnapshot& cs, const rt::CounterSnapshot& cb) {
+  EXPECT_EQ(cs.trunc_flops, cb.trunc_flops);
+  EXPECT_EQ(cs.full_flops, cb.full_flops);
+  for (int i = 0; i < rt::kNumOpKinds; ++i) {
+    EXPECT_EQ(cs.trunc_by_kind[i], cb.trunc_by_kind[i]) << i;
+    EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i;
+  }
+}
+
+TEST_F(BurnTest, BatchedBurnMatchesScalarBitwiseAtE11SearchFormats) {
+  auto& R = rt::Runtime::instance();
+  // A steep activation puts exp's argument at -800..-600 for lanes just
+  // above the frozen threshold: some exp results fall below 2^-1000 (the
+  // elementary kernel's BigFloat fallback), and with small densities the
+  // rate's final multiply lands in double's subnormal range (the e11 mul
+  // guard). burn_cells_batch writes x in place and its rate spans alias
+  // their output with an operand.
+  BurnParams steep = bp;
+  steep.t9_activation = 300.0;
+  for (const int man : {13, 16}) {
+    SCOPED_TRACE(man);
+    const sf::Format fmt{11, man};
+    const sf::RoundSpec spec(fmt);
+    TruncScope scope(11, man);
+
+    Rng rng(0xB0 + man);
+    const std::size_t n = 61;  // not a multiple of any lane width
+    std::vector<double> x(n), rho(n), temp(n);
+    int exp_fallback = 0, subnormal_product = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      x[k] = rng.uniform(0.05, 1.0);
+      rho[k] = std::pow(10.0, rng.uniform(1.0, 4.0));
+      temp[k] = k % 8 == 0 ? std::pow(10.0, rng.uniform(8.5, 9.7)) : rng.uniform(5.5e7, 9e7);
+      // The first rate evaluation, op for op as burn_rate computes it.
+      const double t9 = sf::fast_mul(temp[k], 1e-9, spec);
+      if (t9 <= 0.05) continue;
+      const double arg = sf::fast_div(-steep.t9_activation, sf::fast_cbrt(t9, spec), spec);
+      exp_fallback += std::exp(arg) < 0x1p-1000 ? 1 : 0;
+      double pre = sf::fast_mul(-steep.rate_coeff, x[k], spec);
+      pre = sf::fast_mul(sf::fast_mul(pre, x[k], spec), rho[k], spec);
+      pre = sf::fast_mul(pre, 1e-12, spec);
+      subnormal_product +=
+          sf::double_subnormal(sf::fast_round(pre, spec) * sf::fast_exp(arg, spec)) ? 1 : 0;
+    }
+    EXPECT_GT(exp_fallback, 0);
+    EXPECT_GT(subnormal_product, 0);
+    const double dt = 1e-9;
+
+    std::vector<double> x_s(n), en_s(n);
+    std::vector<int> sub_s(n);
+    R.reset_counters();
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto res = burn_cell(steep, Real(x[k]), Real(rho[k]), Real(temp[k]), dt);
+      x_s[k] = to_double(res.x_new);
+      en_s[k] = to_double(res.energy_released);
+      sub_s[k] = res.substeps;
+    }
+    const auto cs = R.counters();
+
+    std::vector<double> x_b = x, en_b(n);
+    std::vector<int> sub_b(n);
+    R.reset_counters();
+    burn_cells_batch(steep, n, x_b.data(), rho.data(), temp.data(), dt, en_b.data(),
+                     sub_b.data());
+    const auto cb = R.counters();
+
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(std::bit_cast<u64>(x_s[k]), std::bit_cast<u64>(x_b[k])) << k;
+      EXPECT_EQ(std::bit_cast<u64>(en_s[k]), std::bit_cast<u64>(en_b[k])) << k;
+      EXPECT_EQ(sub_s[k], sub_b[k]) << k;
+    }
+    expect_same_counts(cs, cb);
+    EXPECT_GT(cb.trunc_by_kind[static_cast<int>(rt::OpKind::Exp)], 0u);
+  }
+}
+
+TEST_F(BurnTest, CellularBatchStepMatchesScalarBitwiseAtE11SearchFormats) {
+  // Every region at one of the search's e11 candidates, as during a
+  // PrecisionSearch evaluation: the EOS (log10), hydro and burn (exp, cbrt)
+  // stages all run on the fast kernels.
+  auto& R = rt::Runtime::instance();
+  for (const int man : {13, 16}) {
+    SCOPED_TRACE(man);
+    const auto run = [&](bool batch, rt::CounterSnapshot& counters) {
+      R.reset_all();
+      for (const char* region : {"eos", "hydro", "burn"}) {
+        R.set_region_format(region, rt::TruncationSpec::trunc64(11, man));
+      }
+      CellularConfig cc;
+      cc.n = 48;
+      cc.batch = batch;
+      CellularSim<Real> sim(cc);
+      std::vector<double> out;
+      for (int s = 0; s < 8; ++s) out.push_back(sim.step());
+      for (int i = 0; i < cc.n; ++i) {
+        out.push_back(sim.temperature(i));
+        out.push_back(sim.mass_fraction(i));
+        out.push_back(sim.density(i));
+      }
+      out.push_back(sim.total_energy_released());
+      out.push_back(static_cast<double>(sim.eos_stats().total_iterations));
+      out.push_back(static_cast<double>(sim.eos_stats().failures));
+      counters = R.counters();
+      return out;
+    };
+    rt::CounterSnapshot cs, cb;
+    const auto scalar = run(false, cs);
+    const auto batch = run(true, cb);
+    ASSERT_EQ(scalar.size(), batch.size());
+    for (std::size_t k = 0; k < scalar.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<u64>(scalar[k]), std::bit_cast<u64>(batch[k])) << k;
+    }
+    expect_same_counts(cs, cb);
+    EXPECT_GT(cb.trunc_by_kind[static_cast<int>(rt::OpKind::Log10)], 0u);
+    EXPECT_GT(cb.trunc_by_kind[static_cast<int>(rt::OpKind::Exp)], 0u);
+    EXPECT_GT(cb.trunc_by_kind[static_cast<int>(rt::OpKind::Cbrt)], 0u);
+  }
 }
 
 }  // namespace

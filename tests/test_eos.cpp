@@ -226,5 +226,61 @@ TEST_F(EosTest, BatchedInversionMatchesScalarBitwise) {
   }
 }
 
+TEST_F(EosTest, BatchedInversionMatchesScalarBitwiseAtE11SearchFormats) {
+  // The search's e11 candidates run log10 on the rounding-tested fast
+  // kernel. Densities of exactly 1 (log10 = 0: the kernel's BigFloat
+  // fallback) and exact powers of ten sit in the same spans as random
+  // lanes; the inversion's spans alias their output with an operand.
+  auto& R = rt::Runtime::instance();
+  for (const int man : {13, 16}) {
+    SCOPED_TRACE(man);
+    TruncScope scope(11, man);
+
+    Rng rng(0xE0 + man);
+    const int n = 67;  // not a multiple of any lane width
+    std::vector<double> rho(n), e_t(n), guess(n);
+    for (int k = 0; k < n; ++k) {
+      rho[k] = k % 5 == 0   ? 1.0
+               : k % 5 == 1 ? std::pow(10.0, k % 9)
+                            : std::pow(10.0, rng.uniform(3.0, 8.0));
+      const double temp = k % 7 == 0 ? 1e9 : std::pow(10.0, rng.uniform(7.3, 9.7));
+      e_t[k] = HelmholtzTable::e_analytic(rho[k], temp);
+      guess[k] = k % 7 == 0 ? temp : temp * rng.uniform(0.5, 1.9);
+    }
+
+    EosStats stats_s;
+    std::vector<double> temp_s(n), pres_s(n);
+    R.reset_counters();
+    for (int k = 0; k < n; ++k) {
+      const auto res = table.invert_energy(Real(rho[k]), Real(e_t[k]), Real(guess[k]), 1e-10, 12,
+                                           &stats_s);
+      temp_s[k] = to_double(res.temp);
+      pres_s[k] = to_double(res.pres);
+    }
+    const auto cs = R.counters();
+
+    EosStats stats_b;
+    std::vector<double> temp_b = guess, pres_b(n);
+    R.reset_counters();
+    table.invert_energy_batch(rho.data(), e_t.data(), temp_b.data(), pres_b.data(), n, 1e-10, 12,
+                              &stats_b);
+    const auto cb = R.counters();
+
+    for (int k = 0; k < n; ++k) {
+      EXPECT_EQ(std::bit_cast<u64>(temp_s[k]), std::bit_cast<u64>(temp_b[k])) << k;
+      EXPECT_EQ(std::bit_cast<u64>(pres_s[k]), std::bit_cast<u64>(pres_b[k])) << k;
+    }
+    EXPECT_EQ(stats_s.failures, stats_b.failures);
+    EXPECT_EQ(stats_s.total_iterations, stats_b.total_iterations);
+    EXPECT_EQ(cs.trunc_flops, cb.trunc_flops);
+    EXPECT_EQ(cs.full_flops, cb.full_flops);
+    for (int i = 0; i < rt::kNumOpKinds; ++i) {
+      EXPECT_EQ(cs.trunc_by_kind[i], cb.trunc_by_kind[i]) << i;
+      EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i;
+    }
+    EXPECT_GT(cb.trunc_by_kind[static_cast<int>(rt::OpKind::Log10)], 0u);
+  }
+}
+
 }  // namespace
 }  // namespace raptor::eos

@@ -12,6 +12,9 @@
 //  * Operation differentials: fast_add/sub/mul/div/sqrt/fma against the
 //    trunc_* BigFloat reference over random and special operands for every
 //    format inside the innocuous-double-rounding envelope.
+//  * e10/e11 mul/div whose hardware result is a double subnormal, scalar
+//    and on every SIMD path, including a constructed midpoint witness that
+//    double-rounds wrongly without the subnormal guard.
 //
 // Any mismatch prints the offending input bit pattern(s) and both outputs.
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 
 #include "softfloat/bigfloat.hpp"
 #include "softfloat/fast_round.hpp"
+#include "softfloat/fast_round_simd.hpp"
 
 namespace raptor::sf {
 namespace {
@@ -83,8 +87,10 @@ TEST(FastRoundSupports, EnvelopePredicates) {
   EXPECT_TRUE(fast_op_supports(Format{8, 12}));
   EXPECT_TRUE(fast_op_supports(Format{9, 24}));
   EXPECT_FALSE(fast_op_supports(Format{8, 25}));   // double rounding not innocuous
-  EXPECT_FALSE(fast_op_supports(Format{10, 12}));  // double-subnormal hazard
+  EXPECT_TRUE(fast_op_supports(Format{10, 12}));  // guarded: DoubleSubnormalMulDiv below
   EXPECT_FALSE(fast_op_supports(Format::fp64()));
+  EXPECT_TRUE(fast_op_supports(Format{11, 24}));
+  EXPECT_FALSE(fast_op_supports(Format{11, 25}));  // double rounding not innocuous
 
   EXPECT_TRUE(fast_fma_supports(Format::fp16()));
   EXPECT_TRUE(fast_fma_supports(Format::bf16()));
@@ -92,6 +98,7 @@ TEST(FastRoundSupports, EnvelopePredicates) {
   EXPECT_TRUE(fast_fma_supports(Format::fp32()));
   EXPECT_FALSE(fast_fma_supports(Format{8, 25}));  // product no longer exact
   EXPECT_FALSE(fast_fma_supports(Format{10, 10}));
+  EXPECT_FALSE(fast_fma_supports(Format{11, 13}));  // fma stays e <= 9
 }
 
 TEST(FastRoundExhaustive, AllFp16PatternsIntoSmallFormats) {
@@ -286,6 +293,160 @@ TEST(FastOps, FmaRandomSweep) {
         const double c = 1.5;
         ASSERT_EQ(bits_of(fast_fma(a, b, c, fmt)), bits_of(trunc_fma(a, b, c, fmt)))
             << std::hex << bits_of(a) << " " << bits_of(b);
+      }
+    }
+  }
+}
+
+TEST(FastOps, WideExponentFormatsRandomAndSpecials) {
+  // e10/e11 formats: the whole exponent range, including overflow of the
+  // hardware result past DBL_MAX and gradual underflow.
+  for (const Format& fmt : {Format{10, 12}, Format{10, 24}, Format{11, 4}, Format{11, 13},
+                            Format{11, 16}, Format{11, 24}}) {
+    ASSERT_TRUE(fast_op_supports(fmt));
+    for (const double a : kSpecialOperands) {
+      for (const double b : kSpecialOperands) {
+        for (int op = 0; op < 4; ++op) ASSERT_TRUE(Op2Matches(op, a, b, fmt));
+      }
+      ASSERT_EQ(bits_of(fast_sqrt(a, fmt)), bits_of(trunc_sqrt(a, fmt)));
+    }
+    std::mt19937_64 rng(0x11E + static_cast<u64>(fmt.exp_bits * 64 + fmt.man_bits));
+    std::uniform_int_distribution<int> exp_dist(fmt.emin_subnormal() - 2, fmt.emax() + 2);
+    const auto draw = [&] {
+      if ((rng() & 7) == 0) return from_bits(rng());
+      const int biased = std::clamp(exp_dist(rng) + 1023, 0, 2046);
+      return from_bits(((rng() & 1) << 63) | (static_cast<u64>(biased) << 52) |
+                       (rng() & ((u64{1} << 52) - 1)));
+    };
+    for (int i = 0; i < 200000; ++i) {
+      const double a = draw(), b = draw();
+      ASSERT_TRUE(Op2Matches(static_cast<int>(rng() % 4), a, b, fmt));
+    }
+    for (int i = 0; i < 50000; ++i) {
+      const double a = draw();
+      ASSERT_EQ(bits_of(fast_sqrt(a, fmt)), bits_of(trunc_sqrt(a, fmt)))
+          << "sqrt fmt " << fmt.to_string() << " a=0x" << std::hex << bits_of(a);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// e10/e11 mul/div results in double's subnormal range
+// ---------------------------------------------------------------------------
+
+std::vector<simd::Path> available_paths() {
+  std::vector<simd::Path> v;
+  for (const simd::Path p : {simd::Path::Portable, simd::Path::Avx2, simd::Path::Avx512}) {
+    if (simd::path_supported(p)) v.push_back(p);
+  }
+  return v;
+}
+
+/// Operands of Format{11, m} whose exact product lies just above a rounding
+/// midpoint of the format inside double's subnormal range: x = A*B*2^-1079
+/// with A*B = (4i+1)*2^S + d, S = 1079 - 1023 - m, 0 < d < 16. The midpoint
+/// (4i+1)*2^-(1023+m) is a double, and x is within d*2^-1079 < 2^-1075 of
+/// it, so the hardware product rounds onto the midpoint, whose tie goes to
+/// the even neighbor below, while x itself rounds up. Exists for m >= 20.
+std::pair<double, double> mul_midpoint_witness(int m) {
+  const int S = 1079 - 1023 - m;
+  const u64 mask = (u64{1} << (S + 2)) - 1;
+  for (u64 A = (u64{1} << m) + 1;; A += 2) {
+    u64 inv = A;  // Newton's iteration for A^-1 mod 2^64 (A odd)
+    for (int k = 0; k < 6; ++k) inv *= 2 - A * inv;
+    for (u64 d = 1; d < 16; ++d) {
+      const u64 B = (((u64{1} << S) + d) * inv) & mask;
+      if (B >= (u64{1} << m) && B < (u64{2} << m)) {
+        return {std::ldexp(static_cast<double>(A), -(m + 500)),
+                std::ldexp(static_cast<double>(B), -(579 - m))};
+      }
+    }
+  }
+}
+
+TEST(DoubleSubnormalMulDiv, MidpointWitnessNeedsTheGuard) {
+  for (const int m : {20, 24}) {
+    const Format fmt{11, m};
+    const RoundSpec spec(fmt);
+    const auto [a, b] = mul_midpoint_witness(m);
+    ASSERT_EQ(bits_of(fast_round(a, spec)), bits_of(a));  // format values
+    ASSERT_EQ(bits_of(fast_round(b, spec)), bits_of(b));
+    ASSERT_TRUE(double_subnormal(a * b));
+    const double ref = trunc_mul(a, b, fmt);
+    // Unguarded, the hardware product double-rounds to the wrong neighbor.
+    ASSERT_NE(bits_of(fast_round(a * b, spec)), bits_of(ref)) << fmt.to_string();
+    EXPECT_EQ(bits_of(fast_mul(a, b, spec)), bits_of(ref)) << fmt.to_string();
+    EXPECT_EQ(bits_of(fast_mul(-a, b, spec)), bits_of(trunc_mul(-a, b, fmt)));
+
+    // Every lane position of a span with a tail, out aliasing the first
+    // operand, on every path.
+    for (const simd::Path p : available_paths()) {
+      constexpr std::size_t kN = 21;
+      for (std::size_t pos = 0; pos < kN; ++pos) {
+        std::vector<double> out(kN, 1.5), rhs(kN, 0.75);
+        out[pos] = a;
+        rhs[pos] = b;
+        std::vector<u64> want(kN);
+        for (std::size_t i = 0; i < kN; ++i) want[i] = bits_of(trunc_mul(out[i], rhs[i], fmt));
+        simd::span_exec(p, simd::SpanOp::Mul, out.data(), rhs.data(), nullptr, out.data(), kN,
+                        spec);
+        for (std::size_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(bits_of(out[i]), want[i])
+              << simd::path_name(p) << " " << fmt.to_string() << " pos " << pos << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DoubleSubnormalMulDiv, RandomOperandsScalarAndEveryPath) {
+  for (const Format& fmt : {Format{10, 12}, Format{10, 24}, Format{11, 13}, Format{11, 16},
+                            Format{11, 20}, Format{11, 24}}) {
+    ASSERT_TRUE(fast_op_supports(fmt));
+    const RoundSpec spec(fmt);
+    std::mt19937_64 rng(0x5B + static_cast<u64>(fmt.exp_bits * 64 + fmt.man_bits));
+    // Result exponents aimed at and around double's subnormal range, as far
+    // down as products and quotients of the format's values reach.
+    const int emin = fmt.emin_subnormal(), emax = fmt.emax();
+    std::uniform_int_distribution<int> res_dist(std::max(-1080, 2 * emin + 2), -1015);
+    const auto value = [&](int e) {
+      const double sig = 1.0 + std::ldexp(static_cast<double>(rng() >> 12), -52);
+      return fast_round(((rng() & 1) != 0 ? -1.0 : 1.0) * std::ldexp(sig, e), spec);
+    };
+    const auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, std::max(lo, hi))(rng);
+    };
+    constexpr std::size_t kN = 200003;  // odd: every path runs a padded tail
+    std::vector<double> a(kN), rhs(kN), out(kN);
+    for (const simd::SpanOp op : {simd::SpanOp::Mul, simd::SpanOp::Div}) {
+      const bool mul = op == simd::SpanOp::Mul;
+      std::size_t hits = 0;
+      for (std::size_t i = 0; i < kN; ++i) {
+        const int er = res_dist(rng);
+        // a * rhs or a / rhs near 2^er, both operands inside the format.
+        const int ea = mul ? pick(std::max(emin, er - emax), std::min(emax, er - emin))
+                           : pick(std::max(emin, er + emin), std::min(emax, er + emax));
+        a[i] = value(ea);
+        rhs[i] = value(mul ? er - ea : ea - er);
+        hits += double_subnormal(mul ? a[i] * rhs[i] : a[i] / rhs[i]) ? 1 : 0;
+      }
+      EXPECT_GT(hits, kN / 4) << (mul ? "mul " : "div ") << fmt.to_string();
+      std::vector<u64> want(kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        want[i] = bits_of(mul ? trunc_mul(a[i], rhs[i], fmt) : trunc_div(a[i], rhs[i], fmt));
+        const double fast = mul ? fast_mul(a[i], rhs[i], spec) : fast_div(a[i], rhs[i], spec);
+        ASSERT_EQ(bits_of(fast), want[i]) << (mul ? "mul " : "div ") << fmt.to_string()
+                                          << " a=0x" << std::hex << bits_of(a[i]) << " b=0x"
+                                          << bits_of(rhs[i]);
+      }
+      for (const simd::Path p : available_paths()) {
+        out = a;  // out aliases the first operand
+        simd::span_exec(p, op, out.data(), rhs.data(), nullptr, out.data(), kN, spec);
+        for (std::size_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(bits_of(out[i]), want[i])
+              << simd::path_name(p) << (mul ? " mul " : " div ") << fmt.to_string() << " i "
+              << i;
+        }
       }
     }
   }

@@ -413,14 +413,21 @@ TEST_F(RuntimeTest, RetiredThreadCountersSurviveInRegionProfiles) {
 // ---------------------------------------------------------------------------
 
 TEST_F(RuntimeTest, NaiveAndScratchProduceIdenticalResults) {
-  // e11 is outside the fast_* envelope, so both ops reach BigFloat and
-  // exercise the two allocation strategies.
+  // e11m14 now runs on the fast_* kernels; e11m30 (man_bits > 24) is
+  // outside the envelope, so its ops reach BigFloat and exercise the two
+  // allocation strategies.
   TruncScope scope(11, 14);
   R.set_alloc_strategy(AllocStrategy::Naive);
   const double naive = R.op2(OpKind::Div, 355.0, 113.0, 64);
   R.set_alloc_strategy(AllocStrategy::Scratch);
   const double scratch = R.op2(OpKind::Div, 355.0, 113.0, 64);
   EXPECT_DOUBLE_EQ(naive, scratch);
+  TruncScope wide(11, 30);
+  R.set_alloc_strategy(AllocStrategy::Naive);
+  const double naive30 = R.op2(OpKind::Div, 355.0, 113.0, 64);
+  R.set_alloc_strategy(AllocStrategy::Scratch);
+  EXPECT_DOUBLE_EQ(naive30, R.op2(OpKind::Div, 355.0, 113.0, 64));
+  EXPECT_DOUBLE_EQ(naive30, sf::trunc_div(355.0, 113.0, sf::Format{11, 30}));
 }
 
 TEST_F(RuntimeTest, HwFastpathMatchesEmulationForFp32) {

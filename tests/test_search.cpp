@@ -8,6 +8,7 @@
 #include "search/precision_search.hpp"
 #include "search/workloads.hpp"
 #include "softfloat/bigfloat.hpp"
+#include "telemetry/registry.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
 
@@ -315,6 +316,34 @@ TEST_F(SearchTest, DriverSkipsTinyRegions) {
   EXPECT_TRUE(result.choices[0].truncated);
   EXPECT_FALSE(result.choices[1].truncated);  // skipped, stays native
   EXPECT_EQ(result.choices[1].error, 0.0);
+}
+
+TEST_F(SearchTest, ProgressCountsARegionLeftNativeByItsWidestCandidate) {
+  // "wide" is decided last and exp-hinted to e5, whose widest candidate
+  // overflows (1e6 * 1e6 > 65504): it is left native without bisecting,
+  // and the progress gauges must still count it as decided.
+  search::Workload w = synthetic_workload();
+  w.regions = {"bulk", "wide"};
+  const auto base = w.run;
+  w.run = [base]() {
+    std::vector<double> out = base();
+    {
+      Region r("wide");
+      out.push_back((Real(1e6) * Real(1e6)).value());
+    }
+    return out;
+  };
+  search::SearchOptions opts;
+  opts.tolerance = 1e-3;
+  opts.min_flop_share = 0.0;
+  opts.exp_hints = {{"wide", 5}};
+  const auto result = search::PrecisionSearch(opts).run(w);
+  ASSERT_EQ(result.choices.size(), 2u);
+  EXPECT_EQ(result.choices[1].region, "wide");
+  EXPECT_FALSE(result.choices[1].truncated);
+  auto& reg = telemetry::Registry::instance();
+  EXPECT_DOUBLE_EQ(reg.gauge("raptor_search_regions_total").value(), 2.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("raptor_search_regions_done").value(), 2.0);
 }
 
 // ---------------------------------------------------------------------------
