@@ -2,8 +2,10 @@
 // figure; see DESIGN.md §3 for the experiment index).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,6 +17,23 @@
 #include "trunc/real.hpp"
 
 namespace raptor::bench {
+
+/// Trials per configuration of every timed comparison in bench/.
+inline constexpr int kTrials = 3;
+
+/// The one timing rule of bench/: run the configurations round-robin for
+/// `trials` trials and keep each one's minimum. Interleaving makes slow drift
+/// (frequency, thermal, a stalled thread pool) hit every configuration alike,
+/// and the minimum is the floor-of-noise estimate. Each callable does its own
+/// setup and returns the time of its measured section only.
+inline std::vector<double> min_of_trials(const std::vector<std::function<double()>>& configs,
+                                         int trials = kTrials) {
+  std::vector<double> best(configs.size(), std::numeric_limits<double>::infinity());
+  for (int t = 0; t < trials; ++t) {
+    for (std::size_t i = 0; i < configs.size(); ++i) best[i] = std::min(best[i], configs[i]());
+  }
+  return best;
+}
 
 /// One truncation sweep point for the Fig. 7 style experiments.
 struct SweepResult {
